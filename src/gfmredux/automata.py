@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import solve_linear
+from .graph import closure, component_of, coreach, strongly_connected_components
 from .ltl import AtomSet
 
 KINDS = ("buchi", "cobuchi", "finite")
@@ -202,17 +203,9 @@ def complete(a: Automaton) -> Automaton:
 
 def prune_unreachable(a: Automaton) -> Automaton:
     """Drop states unreachable from the initial state (BFS renumbering)."""
-    order = [a.initial]
-    seen = {a.initial}
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
-        for letter in a.alphabet.letters():
-            for s in a.succ(q, letter):
-                if s not in seen:
-                    seen.add(s)
-                    order.append(s)
+    order = closure(
+        [a.initial], lambda q: [s for cell in a.transitions[q] for s in cell]
+    )
     if len(order) == a.n_states and order == list(a.states()):
         return a
     remap = {old: new for new, old in enumerate(order)}
@@ -232,77 +225,22 @@ def prune_unreachable(a: Automaton) -> Automaton:
     return Automaton(a.alphabet, a.kind, 0, trans, marked, finals, a.meta)
 
 
-# ------------------------------------------------------------------- SCCs
-
-def strongly_connected_components(nodes, succ) -> list[list]:
-    """Iterative Tarjan; components come out in reverse topological order."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    out: list[list] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ(root)))]
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    if index[w] < low[node]:
-                        low[node] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(comp)
-    return out
-
-
 # ---------------------------------------------------------- lasso checking
 
-def _lasso_reach(a: Automaton, w: LassoWord):
+def _lasso_reach(a, w: LassoWord, targets) -> set:
+    """Nodes (state, position) that runs of `a` (an automaton or a
+    probabilistic automaton) on w reach from (initial, 0), where
+    `targets(q, letter)` gives the successor states of q on letter."""
     for pos in range(w.total):
         if not 0 <= w.letter_at(pos) < a.alphabet.size:
             raise AutomatonError(f"lasso letter at {pos} outside the alphabet")
-    start = (a.initial, 0)
-    reach = {start}
-    frontier = [start]
-    while frontier:
-        q, pos = frontier.pop()
-        letter = w.letter_at(pos)
+
+    def step(nd):
+        q, pos = nd
         np = w.next_pos(pos)
-        for s in a.succ(q, letter):
-            node = (s, np)
-            if node not in reach:
-                reach.add(node)
-                frontier.append(node)
-    return reach
+        return ((s, np) for s in targets(q, w.letter_at(pos)))
+
+    return set(closure([(a.initial, 0)], step))
 
 
 def lasso_member(a: Automaton, w: LassoWord) -> bool:
@@ -310,7 +248,7 @@ def lasso_member(a: Automaton, w: LassoWord) -> bool:
     resolved exactly (SCC analysis of the position-unrolled product)."""
     if a.kind not in ("buchi", "cobuchi"):
         raise AutomatonError("lasso membership needs a buchi or cobuchi automaton")
-    reach = _lasso_reach(a, w)
+    reach = _lasso_reach(a, w, a.succ)
     p = len(w.prefix)
 
     if a.kind == "buchi":
@@ -324,10 +262,7 @@ def lasso_member(a: Automaton, w: LassoWord) -> bool:
                 if (s, np) in cyc_set:
                     yield (s, np)
 
-        comp_of = {}
-        for i, comp in enumerate(strongly_connected_components(cyc, succ_full)):
-            for nd in comp:
-                comp_of[nd] = i
+        comp_of = component_of(strongly_connected_components(cyc, succ_full))
         for (q, pos) in cyc:
             letter = w.letter_at(pos)
             np = w.next_pos(pos)
@@ -346,18 +281,10 @@ def lasso_member(a: Automaton, w: LassoWord) -> bool:
             if (q, letter, s) not in a.marked and (s, np) in reach:
                 yield (s, np)
 
-    comps = strongly_connected_components(reach, succ_unmarked)
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for nd in comp:
-            comp_of[nd] = i
-    for comp in comps:
-        cid = comp_of[comp[0]]
-        for nd in comp:
-            for w2 in succ_unmarked(nd):
-                if comp_of[w2] == cid:
-                    return True
-    return False
+    comp_of = component_of(strongly_connected_components(reach, succ_unmarked))
+    return any(
+        comp_of[nd2] == comp_of[nd] for nd in reach for nd2 in succ_unmarked(nd)
+    )
 
 
 # ----------------------------------------------- co-Buchi language inclusion
@@ -403,10 +330,7 @@ def dcw_counterexample(a1: Automaton, a2: Automaton) -> LassoWord | None:
                 if (p, letter, p2) not in a1.marked:
                     yield (p2, q2)
 
-    comp_of = {}
-    for ci, comp in enumerate(strongly_connected_components(parent, succ_h)):
-        for nd in comp:
-            comp_of[nd] = ci
+    comp_of = component_of(strongly_connected_components(parent, succ_h))
 
     witness = None
     for node in parent:
@@ -491,15 +415,11 @@ def lang_partition(a: Automaton) -> tuple[int, ...]:
             if (p, letter, p2) not in a.marked:
                 yield (p2, a.succ(q, letter)[0])
 
-    comp_of = {}
     comps = strongly_connected_components(nodes, succ_h)
-    for ci, comp in enumerate(comps):
-        for nd in comp:
-            comp_of[nd] = ci
+    comp_of = component_of(comps)
 
     witness_nodes = set()
-    for comp in comps:
-        cid = comp_of[comp[0]]
+    for cid, comp in enumerate(comps):
         hit = False
         for (p, q) in comp:
             for letter in letters:
@@ -516,18 +436,12 @@ def lang_partition(a: Automaton) -> tuple[int, ...]:
             witness_nodes.update(comp)
 
     # L(p) not<= L(q) iff (p,q) reaches a witness node in the full product
-    pred: dict = {nd: [] for nd in nodes}
-    for (p, q) in nodes:
-        for letter in letters:
-            pred[(a.succ(p, letter)[0], a.succ(q, letter)[0])].append((p, q))
-    bad = set(witness_nodes)
-    frontier = list(witness_nodes)
-    while frontier:
-        nd = frontier.pop()
-        for back_nd in pred[nd]:
-            if back_nd not in bad:
-                bad.add(back_nd)
-                frontier.append(back_nd)
+    rows = a.transitions
+    bad = coreach(
+        nodes,
+        lambda nd: [(rows[nd[0]][x][0], rows[nd[1]][x][0]) for x in letters],
+        witness_nodes,
+    )
 
     rep = list(range(n))
     for p in range(n):
@@ -612,22 +526,9 @@ def pa_lasso_prob(pa: ProbAutomaton, w: LassoWord) -> Fraction:
     marked transition.  Transient values are solved exactly, exploiting the
     layered position structure so the linear system stays one-layer sized.
     """
-    for pos in range(w.total):
-        if not 0 <= w.letter_at(pos) < pa.alphabet.size:
-            raise AutomatonError(f"lasso letter at {pos} outside the alphabet")
     p_len = len(w.prefix)
     start = (pa.initial, 0)
-    reach = {start}
-    frontier = [start]
-    while frontier:
-        q, pos = frontier.pop()
-        letter = w.letter_at(pos)
-        np = w.next_pos(pos)
-        for s, _ in pa.dist(q, letter):
-            node = (s, np)
-            if node not in reach:
-                reach.add(node)
-                frontier.append(node)
+    reach = _lasso_reach(pa, w, lambda q, letter: [s for s, _ in pa.dist(q, letter)])
 
     def succ_full(nd):
         q, pos = nd
@@ -636,13 +537,9 @@ def pa_lasso_prob(pa: ProbAutomaton, w: LassoWord) -> Fraction:
             yield (s, np)
 
     comps = strongly_connected_components(reach, succ_full)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for nd in comp:
-            comp_of[nd] = ci
+    comp_of = component_of(comps)
     absorbed: dict = {}
-    for comp in comps:
-        cid = comp_of[comp[0]]
+    for cid, comp in enumerate(comps):
         bottom = True
         good = False
         for nd in comp:

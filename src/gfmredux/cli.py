@@ -16,12 +16,13 @@ import sys
 import time
 from importlib import resources
 
-from .automata import LassoWord, complete, lasso_member
+from .automata import AutomatonError, LassoWord, complete, lasso_member
 from .gf_direct import gf_to_dba, gf_to_gfm
 from .gfg_min import nca_lang_equiv
-from .hoa import from_hoa, to_hoa
+from .hoa import HoaError, from_hoa, to_hoa
 from .ltl import LtlError, LtlParseError, parse, to_string
 from .mdp import (
+    MdpError,
     mdp_from_json,
     mdp_to_json,
     product_nba,
@@ -33,6 +34,11 @@ from .patterns import FAMILIES, gen_pattern
 from .redux import pa_to_json, redux
 
 ROUTES = ("gf-direct", "redux-pa", "dba-oracle")
+# errors that bad input or a failed operation raise: main reports them as
+# `error: ...` with exit code 1 instead of a traceback
+_INPUT_ERRORS = (
+    LtlError, HoaError, MdpError, AutomatonError, OSError, json.JSONDecodeError,
+)
 EXACT_DEFAULT_LIMIT = 20_000
 
 
@@ -58,12 +64,7 @@ def _read(path: str) -> str:
 # ------------------------------------------------------------- subcommands
 
 def _cmd_gen_pattern(args) -> int:
-    try:
-        f = gen_pattern(args.family, tuple(args.params))
-    except (ValueError, LtlError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(to_string(f))
+    print(to_string(gen_pattern(args.family, tuple(args.params))))
     return 0
 
 
@@ -122,11 +123,7 @@ def _build_product(args):
 
 
 def _cmd_product(args) -> int:
-    try:
-        prod, route = _build_product(args)
-    except (LtlError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    prod, route = _build_product(args)
     doc = {
         "route": route,
         "mdp": mdp_to_json(prod.mdp),
@@ -145,11 +142,7 @@ def _pick_exact(n_states: int) -> bool:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        prod, route = _build_product(args)
-    except (LtlError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    prod, route = _build_product(args)
     exact = _pick_exact(prod.mdp.n_states)
     res = synthesize(prod, exact=exact)
     doc = {
@@ -416,8 +409,13 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the exit codes are listed in README.md."""
     args = _make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main_gen_pattern(argv=None) -> int:

@@ -10,6 +10,7 @@ a reset-subset rule yields a deterministic Buchi oracle for GF(body).
 from __future__ import annotations
 
 from .automata import Alphabet, Automaton, build_automaton
+from .graph import coreach
 from .ltl import (
     FF,
     TT,
@@ -91,24 +92,12 @@ def cosafety_to_nfa(f: LtlFormula, atoms: AtomSet | None = None) -> Automaton:
 
 
 def _useful_states(nfa: Automaton) -> set[int]:
-    """States that can reach a final state (finals' outgoing edges ignored,
-    which does not change the set: only the first final visit matters)."""
-    back: dict[int, set[int]] = {q: set() for q in nfa.states()}
-    for q in nfa.states():
-        if q in nfa.final_states:
-            continue
-        for letter in nfa.alphabet.letters():
-            for s in nfa.succ(q, letter):
-                back[s].add(q)
-    useful = set(nfa.final_states)
-    frontier = list(useful)
-    while frontier:
-        q = frontier.pop()
-        for p in back[q]:
-            if p not in useful:
-                useful.add(p)
-                frontier.append(p)
-    return useful
+    """States that can reach a final state."""
+    return coreach(
+        nfa.states(),
+        lambda q: [s for cell in nfa.transitions[q] for s in cell],
+        nfa.final_states,
+    )
 
 
 def _universal_buchi(alphabet: Alphabet) -> Automaton:

@@ -25,8 +25,8 @@ from .automata import (
     dcw_counterexample,
     lang_partition,
     prune_unreachable,
-    strongly_connected_components,
 )
+from .graph import component_of, coreach, strongly_connected_components
 
 
 class MinimizeError(AutomatonError):
@@ -53,29 +53,11 @@ def alive_states(d: Automaton) -> frozenset[int]:
                 if (q, letter, s) not in d.marked:
                     yield s
 
-    comps = strongly_connected_components(list(d.states()), succ_u)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for q in comp:
-            comp_of[q] = ci
-    alive = set()
-    for q in d.states():
-        for s in succ_u(q):
-            if comp_of[s] == comp_of[q]:
-                alive.add(q)
-                break
-    pred_u: dict[int, set[int]] = {q: set() for q in d.states()}
-    for q in d.states():
-        for s in succ_u(q):
-            pred_u[s].add(q)
-    frontier = list(alive)
-    while frontier:
-        q = frontier.pop()
-        for p in pred_u[q]:
-            if p not in alive:
-                alive.add(p)
-                frontier.append(p)
-    return frozenset(alive)
+    comp_of = component_of(strongly_connected_components(list(d.states()), succ_u))
+    on_cycle = [
+        q for q in d.states() if any(comp_of[s] == comp_of[q] for s in succ_u(q))
+    ]
+    return frozenset(coreach(d.states(), succ_u, on_cycle))
 
 
 def normalize_safety(d: Automaton) -> Automaton:
@@ -101,27 +83,23 @@ def _safe_noncontainment(d: Automaton) -> frozenset[tuple[int, int]]:
     """Pairs (p, q) such that safe(p) is not a subset of safe(q)."""
     letters = list(d.alphabet.letters())
     n = d.n_states
+    rows = d.transitions
     nodes = [(p, q) for p in range(n) for q in range(n)]
-    bad = set()
-    pred: dict[tuple[int, int], list[tuple[int, int]]] = {nd: [] for nd in nodes}
+    both_safe: dict = {}
+    bad = []  # pairs with a letter safe from p but not from q
     for (p, q) in nodes:
+        nxt = both_safe[(p, q)] = []
         for letter in letters:
-            p2 = d.succ(p, letter)[0]
-            q2 = d.succ(q, letter)[0]
-            p_safe = (p, letter, p2) not in d.marked
-            q_safe = (q, letter, q2) not in d.marked
-            if p_safe and not q_safe:
-                bad.add((p, q))
-            elif p_safe and q_safe:
-                pred[(p2, q2)].append((p, q))
-    frontier = list(bad)
-    while frontier:
-        nd = frontier.pop()
-        for back in pred[nd]:
-            if back not in bad:
-                bad.add(back)
-                frontier.append(back)
-    return frozenset(bad)
+            p2 = rows[p][letter][0]
+            if (p, letter, p2) in d.marked:
+                continue
+            q2 = rows[q][letter][0]
+            if (q, letter, q2) in d.marked:
+                bad.append((p, q))
+            else:
+                nxt.append((p2, q2))
+    # and every pair that reaches one along words safe from both
+    return frozenset(coreach(nodes, both_safe.__getitem__, bad))
 
 
 def safe_contained(d: Automaton, p: int, q: int) -> bool:

@@ -199,6 +199,13 @@ def to_hoa(a: Automaton, name: str | None = None) -> str:
 _QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
 
+def _header_int(key: str, val: str) -> int:
+    try:
+        return int(val)
+    except ValueError:
+        raise HoaError(f"{key}: needs an integer, got {val!r}") from None
+
+
 def from_hoa(text: str) -> Automaton:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -224,14 +231,14 @@ def from_hoa(text: str) -> Automaton:
         key = key.strip()
         val = val.strip()
         if key == "States":
-            n_states = int(val)
+            n_states = _header_int(key, val)
         elif key == "Start":
             if start is not None or not val.isdigit():
                 raise HoaError("exactly one Start: <state> header is supported")
             start = int(val)
         elif key == "AP":
             parts = val.split(None, 1)
-            count = int(parts[0])
+            count = _header_int(key, parts[0] if parts else "")
             names = _QUOTED.findall(parts[1] if len(parts) > 1 else "")
             if len(names) != count:
                 raise HoaError(f"AP count {count} does not match {len(names)} names")
@@ -241,7 +248,7 @@ def from_hoa(text: str) -> Automaton:
         elif key == "acc-name":
             acc_name = val
         elif key == "x-index-arity":
-            arity = int(val)
+            arity = _header_int(key, val)
             if arity < 1:
                 raise HoaError(f"bad x-index-arity: {val}")
         elif key in ("tool", "name", "properties"):
@@ -307,7 +314,9 @@ def from_hoa(text: str) -> Automaton:
         elif ln.startswith("["):
             if state is None:
                 raise HoaError("transition before any State: line")
-            close = ln.index("]")
+            close = ln.find("]")
+            if close < 0:
+                raise HoaError(f"bad transition line: {ln!r}")
             label = _parse_label(ln[1:close])
             rest = ln[close + 1 :].split()
             if not rest or not rest[0].isdigit():

@@ -20,9 +20,9 @@ from .automata import (
     AutomatonError,
     ProbAutomaton,
     complete,
-    strongly_connected_components,
 )
 from .exact import solve_linear
+from .graph import component_of, coreach, strongly_connected_components
 
 _VI_TOL = 1e-10
 _VI_CAP = 1_000_000
@@ -113,24 +113,28 @@ def _frac(text) -> Fraction:
 
 def mdp_from_json(data: dict) -> Mdp:
     try:
-        atom_names = tuple(data["atoms"])
+        atoms = AtomSet(tuple(data["atoms"]))
         initial = int(data["initial"])
-        raw_states = data["states"]
-    except (KeyError, TypeError) as exc:
+        raw_states = list(data["states"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise MdpError(f"malformed MDP document: {exc}") from None
-    atoms = AtomSet(atom_names)
     alphabet = Alphabet(atoms)
     names, trans, labels = [], [], []
-    for entry in raw_states:
-        mask = 0
-        for nm in entry.get("label", []):
-            mask |= 1 << atoms.index(nm)
+    for q, entry in enumerate(raw_states):
+        try:
+            mask = 0
+            for nm in entry.get("label", []):
+                mask |= 1 << atoms.index(nm)
+            row_names, row_dists = [], []
+            for act in entry["actions"]:
+                row_names.append(str(act["name"]))
+                pairs = sorted((int(s), _frac(p)) for s, p in act["to"])
+                row_dists.append(tuple(pairs))
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise MdpError(
+                f"malformed MDP state {q}: {type(exc).__name__}: {exc}"
+            ) from None
         labels.append(mask)
-        row_names, row_dists = [], []
-        for act in entry["actions"]:
-            row_names.append(str(act["name"]))
-            pairs = sorted((int(s), _frac(p)) for s, p in act["to"])
-            row_dists.append(tuple(pairs))
         names.append(tuple(row_names))
         trans.append(tuple(row_dists))
     return Mdp(
@@ -202,6 +206,50 @@ def _check_same_atoms(m: Mdp, atoms: AtomSet, who: str):
         raise MdpError(f"{who}: MDP and automaton use different atoms")
 
 
+def _product(m: Mdp, initial: int, moves) -> ProductMdp:
+    """Product over the pairs reachable from (m.initial, initial), numbered
+    in breadth-first discovery order.
+
+    `moves(s, q)` yields one (action name, distribution, marked successors)
+    triple per product action of pair (s, q); a distribution lists
+    (successor pair, probability) items, each pair once.
+    """
+    number: dict[tuple[int, int], int] = {}
+    order: list[tuple[int, int]] = []
+
+    def pid(pair):
+        if pair not in number:
+            number[pair] = len(order)
+            order.append(pair)
+        return number[pair]
+
+    pid((m.initial, initial))
+    names, trans, labels = [], [], []
+    marked = set()
+    p = 0
+    while p < len(order):
+        s, q = order[p]
+        row_names, row_dists = [], []
+        for name, dist, hot in moves(s, q):
+            idx = len(row_names)
+            row_names.append(name)
+            row_dists.append(tuple(sorted((pid(pair), pr) for pair, pr in dist)))
+            if hot:
+                marked.update((p, idx, number[pair]) for pair in hot)
+        names.append(tuple(row_names))
+        trans.append(tuple(row_dists))
+        labels.append(m.labels[s])
+        p += 1
+    prod = Mdp(
+        alphabet=m.alphabet,
+        initial=0,
+        action_names=tuple(names),
+        transitions=tuple(trans),
+        labels=tuple(labels),
+    )
+    return ProductMdp(mdp=prod, pairs=tuple(order), marked=frozenset(marked))
+
+
 def product_nba(m: Mdp, a: Automaton) -> ProductMdp:
     """Product with a (possibly nondeterministic) Buchi automaton.
 
@@ -216,52 +264,18 @@ def product_nba(m: Mdp, a: Automaton) -> ProductMdp:
     a = complete(a)
     arity = a.alphabet.index_arity
 
-    number: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-
-    def pid(pair):
-        if pair not in number:
-            number[pair] = len(order)
-            order.append(pair)
-        return number[pair]
-
-    pid((m.initial, a.initial))
-    names, trans, labels = [], [], []
-    marked = set()
-    p = 0
-    while p < len(order):
-        s, q = order[p]
-        p += 1
-        moves = []  # (aut successor, aut edge marked) per choice
+    def moves(s, q):
+        choices = []  # (aut successor, aut edge marked) per choice
         for i in range(1, arity + 1):
             letter = a.alphabet.letter(m.labels[s], i)
             for t in a.succ(q, letter):
-                moves.append((t, (q, letter, t) in a.marked))
-        row_names, row_dists = [], []
-        here = len(names)
+                choices.append((t, (q, letter, t) in a.marked))
         for ai, nm in enumerate(m.action_names[s]):
-            for c, (t, hot) in enumerate(moves, start=1):
-                dist = tuple(
-                    (pid((s2, t)), pr) for s2, pr in m.dist(s, ai)
-                )
-                dist = tuple(sorted(dist))
-                row_names.append(f"{nm}#{c}")
-                idx = len(row_names) - 1
-                row_dists.append(dist)
-                if hot:
-                    for succ, _ in dist:
-                        marked.add((here, idx, succ))
-        names.append(tuple(row_names))
-        trans.append(tuple(row_dists))
-        labels.append(m.labels[s])
-    prod = Mdp(
-        alphabet=m.alphabet,
-        initial=0,
-        action_names=tuple(names),
-        transitions=tuple(trans),
-        labels=tuple(labels),
-    )
-    return ProductMdp(mdp=prod, pairs=tuple(order), marked=frozenset(marked))
+            for c, (t, hot) in enumerate(choices, start=1):
+                dist = [((s2, t), pr) for s2, pr in m.dist(s, ai)]
+                yield f"{nm}#{c}", dist, [pair for pair, _ in dist] if hot else ()
+
+    return _product(m, a.initial, moves)
 
 
 def product_pa(m: Mdp, pa: ProbAutomaton) -> ProductMdp:
@@ -270,51 +284,20 @@ def product_pa(m: Mdp, pa: ProbAutomaton) -> ProductMdp:
     _check_same_atoms(m, pa.alphabet.atoms, "product_pa")
     arity = pa.alphabet.index_arity
 
-    number: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-
-    def pid(pair):
-        if pair not in number:
-            number[pair] = len(order)
-            order.append(pair)
-        return number[pair]
-
-    pid((m.initial, pa.initial))
-    names, trans, labels = [], [], []
-    marked = set()
-    p = 0
-    while p < len(order):
-        s, q = order[p]
-        p += 1
-        row_names, row_dists = [], []
-        here = len(names)
+    def moves(s, q):
         for ai, nm in enumerate(m.action_names[s]):
             for i in range(1, arity + 1):
                 letter = pa.alphabet.letter(m.labels[s], i)
-                joint: dict[int, Fraction] = {}
-                hot_succs = set()
+                joint: dict[tuple[int, int], Fraction] = {}
+                hot = set()
                 for s2, pr_m in m.dist(s, ai):
                     for t, pr_a in pa.dist(q, letter):
-                        tgt = pid((s2, t))
-                        joint[tgt] = joint.get(tgt, Fraction(0)) + pr_m * pr_a
+                        joint[(s2, t)] = joint.get((s2, t), Fraction(0)) + pr_m * pr_a
                         if (q, letter, t) in pa.marked:
-                            hot_succs.add(tgt)
-                row_names.append(f"{nm}#{i}")
-                idx = len(row_names) - 1
-                row_dists.append(tuple(sorted(joint.items())))
-                for tgt in hot_succs:
-                    marked.add((here, idx, tgt))
-        names.append(tuple(row_names))
-        trans.append(tuple(row_dists))
-        labels.append(m.labels[s])
-    prod = Mdp(
-        alphabet=m.alphabet,
-        initial=0,
-        action_names=tuple(names),
-        transitions=tuple(trans),
-        labels=tuple(labels),
-    )
-    return ProductMdp(mdp=prod, pairs=tuple(order), marked=frozenset(marked))
+                            hot.add((s2, t))
+                yield f"{nm}#{i}", joint.items(), hot
+
+    return _product(m, pa.initial, moves)
 
 
 # ------------------------------------------------------------ end components
@@ -344,11 +327,7 @@ def mec_decompose(
         return sorted(out)
 
     while True:
-        comps = strongly_connected_components(sorted(alive), succ)
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for q in comp:
-                comp_of[q] = ci
+        comp_of = component_of(strongly_connected_components(sorted(alive), succ))
         changed = False
         for q in sorted(alive):
             for ai in sorted(avail[q]):
@@ -402,39 +381,26 @@ class ValueVector:
 
 
 def _can_reach(m: Mdp, goal: frozenset[int]) -> set[int]:
-    pred: dict[int, set[int]] = {q: set() for q in m.states()}
-    for q in m.states():
-        for ai in range(m.n_actions(q)):
-            for s, _ in m.dist(q, ai):
-                pred[s].add(q)
-    seen = set(goal)
-    frontier = list(goal)
-    while frontier:
-        q = frontier.pop()
-        for p in pred[q]:
-            if p not in seen:
-                seen.add(p)
-                frontier.append(p)
-    return seen
+    return coreach(
+        m.states(),
+        lambda q: [s for dist in m.transitions[q] for s, _ in dist],
+        goal,
+    )
 
 
 def _prob1(m: Mdp, goal: frozenset[int]) -> frozenset[int]:
     """States winning reachability almost surely (goal is absorbing)."""
     universe = set(m.states())
+
+    def staying_succ(q):
+        # successors along actions that cannot leave the universe
+        return [
+            s for dist in m.transitions[q]
+            if all(t in universe for t, _ in dist) for s, _ in dist
+        ]
+
     while True:
-        inside = set(goal)
-        changed = True
-        while changed:
-            changed = False
-            for q in universe - inside:
-                for ai in range(m.n_actions(q)):
-                    supp = [s for s, _ in m.dist(q, ai)]
-                    if all(s in universe for s in supp) and any(
-                        s in inside for s in supp
-                    ):
-                        inside.add(q)
-                        changed = True
-                        break
+        inside = coreach(universe, staying_succ, goal)
         if inside == universe:
             return frozenset(universe)
         universe = inside
@@ -445,18 +411,11 @@ def _policy_values(
 ) -> dict[int, Fraction]:
     """Least fixpoint value of a fixed policy: states that cannot reach a
     value-one state under it get 0, the rest solve a linear system."""
-    reach = set()
-    changed = True
-    while changed:
-        changed = False
-        for q in interior:
-            if q in reach:
-                continue
-            for s, _ in m.dist(q, policy[q]):
-                if s in ones or s in reach:
-                    reach.add(q)
-                    changed = True
-                    break
+    reach = coreach(
+        [*interior, *ones],
+        lambda q: [s for s, _ in m.dist(q, policy[q])] if q in policy else (),
+        ones,
+    )
     live = [q for q in interior if q in reach]
     values = {q: Fraction(0) for q in interior}
     if live:
@@ -682,14 +641,11 @@ def induce_mc(prod: ProductMdp, strategy: Strategy) -> Fraction:
     comps = strongly_connected_components(
         list(m.states()), lambda q: sorted(edges[q])
     )
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for q in comp:
-            comp_of[q] = ci
-    bottom = []
-    for ci, comp in enumerate(comps):
-        if all(comp_of[s] == ci for q in comp for s in edges[q]):
-            bottom.append(ci)
+    comp_of = component_of(comps)
+    bottom = [
+        ci for ci, comp in enumerate(comps)
+        if all(comp_of[s] == ci for q in comp for s in edges[q])
+    ]
     winning = set()
     for ci in bottom:
         comp = set(comps[ci])

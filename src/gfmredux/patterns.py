@@ -7,6 +7,7 @@ from typing import Sequence
 
 from .ltl import (
     AtomSet,
+    LtlError,
     LtlFormula,
     always,
     atom,
@@ -100,19 +101,19 @@ def gen_pattern(family: str, params: Sequence[int] = ()) -> LtlFormula:
     """
     fam = family.upper()
     if fam not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+        raise LtlError(f"unknown family {family!r}; choose from {FAMILIES}")
     params = tuple(int(p) for p in params)
     if any(p < 1 for p in params):
-        raise ValueError(f"pattern parameters must be >= 1, got {params}")
+        raise LtlError(f"pattern parameters must be >= 1, got {params}")
     if fam == "EHP":
         if params:
-            raise ValueError("EHP takes no parameters")
+            raise LtlError("EHP takes no parameters")
         return _ehp()
     if fam == "NCS":
         if not params:
-            raise ValueError("NCS needs at least one offset")
+            raise LtlError("NCS needs at least one offset")
         return _ncs(params)
     if len(params) != 1:
-        raise ValueError(f"{fam} takes exactly one parameter, got {params}")
+        raise LtlError(f"{fam} takes exactly one parameter, got {params}")
     n = params[0]
     return {"TDR": _tdr, "LIB": _lib, "BRP": _brp, "NU": _nu, "LFR": _lfr}[fam](n)

@@ -12,6 +12,7 @@ good-for-MDP inputs.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 from dataclasses import dataclass
@@ -74,14 +75,7 @@ def dba_to_dca(d: Automaton) -> Automaton:
         raise AutomatonError("dba_to_dca needs a Buchi automaton")
     if not (d.is_deterministic and d.is_complete):
         raise AutomatonError("dba_to_dca needs a deterministic complete automaton")
-    return Automaton(
-        alphabet=d.alphabet,
-        kind="cobuchi",
-        initial=d.initial,
-        transitions=d.transitions,
-        marked=d.marked,
-        meta=d.meta,
-    )
+    return dataclasses.replace(d, kind="cobuchi")
 
 
 def nca_to_pa(a: Automaton) -> ProbAutomaton:
@@ -171,25 +165,13 @@ def redux(a: Automaton, validate: bool = True) -> ReduxResult:
 
     t0 = time.perf_counter()
     lang_class = small.meta["lang_class"]
-    small = Automaton(
-        alphabet=small.alphabet,
-        kind=small.kind,
-        initial=small.initial,
-        transitions=small.transitions,
-        marked=small.marked,
-        meta={"lang_class": lang_class, "redux_id": run_id},
+    small = dataclasses.replace(
+        small, meta={"lang_class": lang_class, "redux_id": run_id}
     )
     pa = nca_to_pa(small)
     record("pa", pa, t0)
 
-    dba = Automaton(
-        alphabet=dba.alphabet,
-        kind=dba.kind,
-        initial=dba.initial,
-        transitions=dba.transitions,
-        marked=dba.marked,
-        meta={"redux_id": run_id},
-    )
+    dba = dataclasses.replace(dba, meta={"redux_id": run_id})
     report = ReduxReport(stages=tuple(stages), minimized=small, run_id=run_id)
     return ReduxResult(pa=pa, dba=dba, report=report)
 

@@ -20,6 +20,7 @@ from gfmredux.automata import (
     state_lang_equiv,
     strongly_connected_components,
 )
+from gfmredux.graph import closure, component_of, coreach
 from gfmredux.ltl import atoms_named
 
 AL1 = Alphabet(atoms_named("a"), 1)   # letters: 0 = {}, 1 = {a}
@@ -88,6 +89,63 @@ def test_scc_reverse_topological():
 def test_scc_successors_outside_node_list():
     comps = strongly_connected_components([0], lambda q: [1] if q == 0 else [])
     assert [0] in [sorted(c) for c in comps]
+
+
+def _random_digraph(rng):
+    n = rng.randint(1, 12)
+    density = rng.random() * 0.4
+    succs = {u: [v for v in range(n) if rng.random() < density] for u in range(n)}
+    for u in succs:
+        rng.shuffle(succs[u])
+    return n, succs
+
+
+def _brute_reach(n, succs, allowed):
+    """reach[u][v]: a path of length >= 0 from u to v inside `allowed`
+    (Warshall's transitive closure)."""
+    reach = [[u == v or (u in allowed and v in allowed and v in succs[u])
+              for v in range(n)] for u in range(n)]
+    for k in allowed:
+        for u in range(n):
+            if reach[u][k]:
+                for v in range(n):
+                    if reach[k][v]:
+                        reach[u][v] = True
+    return reach
+
+
+def test_graph_kernel_matches_brute_force_reachability():
+    rng = random.Random(20240601)
+    for _ in range(300):
+        n, succs = _random_digraph(rng)
+        every = set(range(n))
+        reach = _brute_reach(n, succs, every)
+        succ = succs.__getitem__
+
+        comp_of = component_of(strongly_connected_components(range(n), succ))
+        for u in range(n):
+            for v in range(n):
+                assert (comp_of[u] == comp_of[v]) == (reach[u][v] and reach[v][u])
+
+        seeds = rng.sample(range(n), rng.randint(1, n))
+        order = closure(seeds, succ)
+        assert order[:len(seeds)] == seeds
+        assert len(order) == len(set(order))
+        assert set(order) == {v for v in range(n) if any(reach[s][v] for s in seeds)}
+        # breadth-first discovery: each later node is found by its earliest
+        # predecessor in the order, in that predecessor's successor order
+        found_by = []
+        for v in order[len(seeds):]:
+            i = min(i for i, u in enumerate(order) if v in succs[u])
+            found_by.append((i, succs[order[i]].index(v)))
+        assert found_by == sorted(found_by)
+
+        nodes = set(rng.sample(range(n), rng.randint(1, n)))
+        targets = rng.sample(sorted(nodes), rng.randint(0, len(nodes)))
+        inside = _brute_reach(n, succs, nodes)
+        assert coreach(nodes, succ, targets) == {
+            u for u in nodes if any(inside[u][t] for t in targets)
+        }
 
 
 def test_buchi_lasso_member():

@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gfmredux
 from gfmredux.cli import main, main_gen_pattern, main_ltl2gfm_gf
 from gfmredux.hoa import from_hoa
 from gfmredux.redux import pa_from_json
@@ -163,6 +167,42 @@ def test_check_equiv_alphabet_mismatch(fixture_file, capsys):
                fixture_file("shrink3to2.hoa")])
     assert rc == 1
     assert "different alphabets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", [
+    "redux-bad-states", "check-equiv-bad-states", "solve-missing-mdp",
+    "solve-action-without-name",
+])
+def test_bad_input_reports_error_without_traceback(
+    case, fixture_text, fixture_file, tmp_path
+):
+    blind = fixture_file("commit_blind.hoa")
+    bad_hoa = tmp_path / "bad.hoa"
+    bad_hoa.write_text(
+        fixture_text("commit_blind.hoa").replace("States: 3", "States: x"),
+        encoding="utf-8",
+    )
+    doc = json.loads(fixture_text("coinflip_mdp.json"))
+    del doc["states"][0]["actions"][0]["name"]
+    nameless = tmp_path / "nameless.json"
+    nameless.write_text(json.dumps(doc), encoding="utf-8")
+    argv = {
+        "redux-bad-states": ["redux", "--in", str(bad_hoa)],
+        "check-equiv-bad-states": ["check-equiv", str(bad_hoa), blind],
+        "solve-missing-mdp": ["solve", "--mdp", str(tmp_path / "missing.json"),
+                              "--formula", "GF a"],
+        "solve-action-without-name": ["solve", "--mdp", str(nameless),
+                                      "--formula", "GF b"],
+    }[case]
+    src = os.path.dirname(os.path.dirname(gfmredux.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfmredux.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_bench_outputs_are_stable(tmp_path, capsys):

@@ -142,3 +142,20 @@ def test_version_and_body_required():
         from_hoa("HOA: v2\nStates: 1\n--BODY--\n--END--\n")
     with pytest.raises(HoaError):
         from_hoa("HOA: v1\nStates: 1\nStart: 0\nAP: 0\nAcceptance: 1 Inf(0)\n")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("States: 1", "States: x"),
+    ("AP: 1 ", "AP: one "),
+    ("AP: 1 \"a\"", "AP:"),
+    ("Acceptance:", "x-index-arity: two\nAcceptance:"),
+    ("[t] 0 {0}", "[t 0 {0}"),
+])
+def test_malformed_numbers_and_labels_raise_hoa_error(old, new):
+    text = (
+        "HOA: v1\nStates: 1\nStart: 0\nAP: 1 \"a\"\n"
+        "Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n[t] 0 {0}\n--END--\n"
+    )
+    assert from_hoa(text).n_states == 1
+    with pytest.raises(HoaError):
+        from_hoa(text.replace(old, new, 1))

@@ -83,6 +83,21 @@ def test_mdp_json_round_trip(coin):
     assert mdp_from_json(json.loads(json.dumps(doc))) == coin
 
 
+@pytest.mark.parametrize("spoil", [
+    lambda d: d["states"][0]["actions"][0].pop("name"),
+    lambda d: d["states"][0]["actions"][0].update(to=[[0]]),
+    lambda d: d["states"][0]["actions"][0].update(to=[["x", "1"]]),
+    lambda d: d["states"][0].update(label=["nope"]),
+    lambda d: d["states"].__setitem__(0, "state"),
+    lambda d: d.update(initial="zero"),
+])
+def test_mdp_json_malformed_entries_raise_mdp_error(coin, spoil):
+    doc = json.loads(json.dumps(mdp_to_json(coin)))
+    spoil(doc)
+    with pytest.raises(MdpError, match="malformed MDP"):
+        mdp_from_json(doc)
+
+
 def test_product_values_blind(coin, fixture_text):
     prod = product_nba(coin, from_hoa(fixture_text("commit_blind.hoa")))
     res = synthesize(prod)
