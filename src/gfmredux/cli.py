@@ -34,10 +34,17 @@ from .patterns import FAMILIES, gen_pattern
 from .redux import pa_to_json, redux
 
 ROUTES = ("gf-direct", "redux-pa", "dba-oracle")
+
+
+class GridError(ValueError):
+    """A `bench` grid document that is not shaped as README.md describes."""
+
+
 # errors that bad input or a failed operation raise: main reports them as
 # `error: ...` with exit code 1 instead of a traceback
 _INPUT_ERRORS = (
     LtlError, HoaError, MdpError, AutomatonError, OSError, json.JSONDecodeError,
+    GridError,
 )
 EXACT_DEFAULT_LIMIT = 20_000
 
@@ -252,23 +259,36 @@ def _bench_md(rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def _cmd_bench(args) -> int:
-    grid = json.loads(_read(args.grid))
+def _grid_cases(grid) -> list[tuple[str, str]]:
+    """(name, formula text) of each case of a bench grid; GridError if malformed."""
+    if not isinstance(grid, dict) or not isinstance(grid.get("cases"), list):
+        raise GridError("bench grid must be a JSON object with a list 'cases'")
     cases = []
-    for entry in grid["cases"]:
-        if "formula" in entry:
+    for i, entry in enumerate(grid["cases"]):
+        entry = entry if isinstance(entry, dict) else {}
+        family, params = entry.get("family"), entry.get("params", [])
+        if isinstance(entry.get("formula"), str):
             text = entry["formula"]
             name = entry.get("name", text)
+        elif isinstance(family, str) and isinstance(params, list) \
+                and all(type(p) is int for p in params):
+            text = to_string(gen_pattern(family, tuple(params)))
+            name = entry.get("name", f"{family}[{','.join(map(str, params))}]"
+                             if params else family)
         else:
-            family = entry["family"]
-            params = tuple(entry.get("params", ()))
-            text = to_string(gen_pattern(family, params))
-            name = entry.get(
-                "name", family + ("[%s]" % ",".join(map(str, params))
-                                  if params else "")
-            )
+            raise GridError(f"bench grid case {i} needs a string 'formula', or a "
+                            "string 'family' and a list of integers 'params'")
         cases.append((name, text))
-    timeout = float(grid.get("timeout", args.timeout))
+    return cases
+
+
+def _cmd_bench(args) -> int:
+    grid = json.loads(_read(args.grid))
+    cases = _grid_cases(grid)
+    try:
+        timeout = float(grid.get("timeout", args.timeout))
+    except (TypeError, ValueError):
+        raise GridError("bench grid 'timeout' must be a number of seconds") from None
     rows, all_times = _run_bench(cases, timeout)
     if args.csv:
         _write(args.csv, _bench_csv(rows))

@@ -12,16 +12,14 @@ from __future__ import annotations
 from .automata import Alphabet, Automaton, build_automaton
 from .graph import coreach
 from .ltl import (
-    FF,
-    TT,
     AtomSet,
     LtlError,
     LtlFormula,
+    PropBdd,
     af_step,
     atom_set,
     fold,
     is_cosafety,
-    prop_equiv,
     to_nnf,
 )
 
@@ -40,9 +38,10 @@ def gf_body(f: LtlFormula) -> LtlFormula:
 def cosafety_to_nfa(f: LtlFormula, atoms: AtomSet | None = None) -> Automaton:
     """Finite-word NFA with L(N).Sigma^omega = [f] for co-safety f.
 
-    States are propositional-equivalence classes of folded derivatives; a
-    residual's top-level disjuncts become separate successors, which is what
-    keeps derivative chains of independent disjuncts from multiplying out.
+    States are propositional-equivalence classes of folded derivatives, one
+    per node of a BDD built for this call; a residual's top-level disjuncts
+    become separate successors, which is what keeps derivative chains of
+    independent disjuncts from multiplying out.
     """
     g = fold(to_nnf(f))
     if not is_cosafety(g):
@@ -51,42 +50,27 @@ def cosafety_to_nfa(f: LtlFormula, atoms: AtomSet | None = None) -> Automaton:
         atoms = atom_set(g) or AtomSet(())
     alphabet = Alphabet(atoms, 1)
 
+    bdd = PropBdd()
     reps: list[LtlFormula] = []
-    finals: list[int] = []
-    by_formula: dict[LtlFormula, int] = {}
+    state_of: dict[int, int] = {}
 
     def class_of(h: LtlFormula) -> int:
-        if h in by_formula:
-            return by_formula[h]
-        for i, r in enumerate(reps):
-            if prop_equiv(h, r):
-                by_formula[h] = i
-                return i
-        i = len(reps)
-        reps.append(h)
-        by_formula[h] = i
-        if prop_equiv(h, TT):
-            finals.append(i)
-        return i
+        n = bdd.node(h)
+        if n not in state_of:
+            state_of[n] = len(reps)
+            reps.append(h)
+        return state_of[n]
 
     init = class_of(g)
     edges = []
-    frontier = [init]
-    done = set()
-    while frontier:
-        q = frontier.pop(0)
-        if q in done:
-            continue
-        done.add(q)
-        rep = reps[q]
+    q = 0
+    while q < len(reps):  # states are numbered in breadth-first order
         for letter in alphabet.letters():
-            residual = af_step(rep, letter)
-            parts = residual.children if residual.kind == "or" else (residual,)
-            for part in parts:
-                s = class_of(part)
-                edges.append((q, letter, s))
-                if s not in done:
-                    frontier.append(s)
+            residual = af_step(reps[q], letter)
+            for part in residual.children if residual.kind == "or" else (residual,):
+                edges.append((q, letter, class_of(part)))
+        q += 1
+    finals = [state_of[bdd.TRUE]] if bdd.TRUE in state_of else []
     return build_automaton(alphabet, len(reps), init, "finite", edges,
                            finals=finals)
 

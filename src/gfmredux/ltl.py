@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 MAX_ATOMS = 16
-_PROP_SPLIT_BUDGET = 64
 
 _BARE_NAME = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
 _OPERATOR_LETTERS = frozenset("XFGU")
@@ -483,92 +482,91 @@ def af_step(f: LtlFormula, letter: int) -> LtlFormula:
 
 # ------------------------------------------------------- prop. equivalence
 
-def _prop_vars(f: LtlFormula, acc: dict):
-    k = f.kind
-    if k in ("tt", "ff"):
-        return
-    if k in ("and", "or", "not"):
-        for c in f.children:
-            _prop_vars(c, acc)
-    else:
-        acc[f] = None
+class PropBdd:
+    """Hash-consed reduced ordered BDD of formulas read propositionally.
 
+    tt, ff, and, or and not are connectives; every other subformula, atoms
+    included, is a variable, numbered in order of first appearance.  Equal
+    nodes mean propositionally equivalent formulas (Bryant 1986).  Node 0 is
+    FALSE and node 1 is TRUE; the tables live as long as the instance.
+    """
 
-def _prop_eval(f: LtlFormula, val: dict) -> bool:
-    k = f.kind
-    if k == "tt":
-        return True
-    if k == "ff":
-        return False
-    if k == "and":
-        return all(_prop_eval(c, val) for c in f.children)
-    if k == "or":
-        return any(_prop_eval(c, val) for c in f.children)
-    if k == "not":
-        return not _prop_eval(f.children[0], val)
-    return val[f]
+    FALSE, TRUE = 0, 1
 
+    def __init__(self):
+        self._nodes: list[tuple[int, int, int]] = [(-1, 0, 0), (-1, 1, 1)]
+        self._unique: dict[tuple[int, int, int], int] = {}
+        self._vars: dict[LtlFormula, int] = {}
+        self._of: dict[LtlFormula, int] = {}
+        self._and: dict[tuple[int, int], int] = {}
+        self._not: dict[int, int] = {}
 
-def _cofactor(f: LtlFormula, v: LtlFormula, b: bool) -> LtlFormula:
-    if f == v:
-        return TT if b else FF
-    k = f.kind
-    if k == "and":
-        return land(*(_cofactor(c, v, b) for c in f.children))
-    if k == "or":
-        return lor(*(_cofactor(c, v, b) for c in f.children))
-    if k == "not":
-        c = _cofactor(f.children[0], v, b)
-        if c.kind == "tt":
-            return FF
-        if c.kind == "ff":
-            return TT
-        return c.children[0] if c.kind == "not" else lnot(c)
-    return f
+    def _mk(self, var: int, lo: int, hi: int) -> int:
+        if lo == hi:
+            return lo
+        key = (var, lo, hi)
+        n = self._unique.get(key)
+        if n is None:
+            n = self._unique[key] = len(self._nodes)
+            self._nodes.append(key)
+        return n
 
+    def conj(self, a: int, b: int) -> int:
+        if a > b:
+            a, b = b, a
+        if a == self.TRUE:
+            return b
+        if a == self.FALSE or a == b:
+            return a
+        r = self._and.get((a, b))
+        if r is None:
+            va, la, ha = self._nodes[a]
+            vb, lb, hb = self._nodes[b]
+            if va == vb:
+                r = self._mk(va, self.conj(la, lb), self.conj(ha, hb))
+            elif va < vb:
+                r = self._mk(va, self.conj(la, b), self.conj(ha, b))
+            else:
+                r = self._mk(vb, self.conj(a, lb), self.conj(a, hb))
+            self._and[a, b] = r
+        return r
 
-def _split_var(f: LtlFormula, g: LtlFormula) -> LtlFormula | None:
-    acc: dict[LtlFormula, None] = {}
-    _prop_vars(f, acc)
-    _prop_vars(g, acc)
-    if not acc:
-        return None
-    counts: dict[LtlFormula, int] = dict.fromkeys(acc, 0)
+    def neg(self, a: int) -> int:
+        if a <= self.TRUE:
+            return self.TRUE - a
+        r = self._not.get(a)
+        if r is None:
+            v, lo, hi = self._nodes[a]
+            r = self._mk(v, self.neg(lo), self.neg(hi))
+            self._not[a] = r
+            self._not[r] = a
+        return r
 
-    def tally(h):
-        if h.kind in ("tt", "ff"):
-            return
-        if h in counts:
-            counts[h] += 1
-        elif h.kind in ("and", "or", "not"):
-            for c in h.children:
-                tally(c)
+    def disj(self, a: int, b: int) -> int:
+        return self.neg(self.conj(self.neg(a), self.neg(b)))
 
-    tally(f)
-    tally(g)
-    return max(counts, key=counts.get)
-
-
-@lru_cache(maxsize=1 << 16)
-def _prop_differ(f: LtlFormula, g: LtlFormula, budget: int) -> bool:
-    if f == g:
-        return False
-    v = _split_var(f, g)
-    if v is None:
-        return _prop_eval(f, {}) != _prop_eval(g, {})
-    if budget <= 0:
-        raise LtlError("propositional equivalence check exceeded its budget")
-    return (
-        _prop_differ(_cofactor(f, v, False), _cofactor(g, v, False), budget - 1)
-        or _prop_differ(_cofactor(f, v, True), _cofactor(g, v, True), budget - 1)
-    )
+    def node(self, f: LtlFormula) -> int:
+        n = self._of.get(f)
+        if n is None:
+            k = f.kind
+            if k == "tt":
+                n = self.TRUE
+            elif k == "ff":
+                n = self.FALSE
+            elif k == "not":
+                n = self.neg(self.node(f.children[0]))
+            elif k in ("and", "or"):
+                op, n = (self.conj, self.TRUE) if k == "and" else (self.disj, self.FALSE)
+                for c in f.children:
+                    n = op(n, self.node(c))
+            else:
+                n = self._mk(self._vars.setdefault(f, len(self._vars)),
+                             self.FALSE, self.TRUE)
+            self._of[f] = n
+        return n
 
 
 def prop_equiv(f: LtlFormula, g: LtlFormula) -> bool:
-    """Propositional equivalence, maximal temporal subformulas as variables.
-
-    Shannon expansion on the most frequent variable; folded cofactors make
-    structurally equal branches exit early, so chain-shaped formulas stay
-    cheap despite the worst case being exponential.
-    """
-    return not _prop_differ(fold(f), fold(g), _PROP_SPLIT_BUDGET)
+    """Propositional equivalence, maximal temporal subformulas as variables."""
+    bdd = PropBdd()
+    return bdd.node(fold(f)) == bdd.node(fold(g))

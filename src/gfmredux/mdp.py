@@ -17,7 +17,6 @@ from .automata import (
     Alphabet,
     AtomSet,
     Automaton,
-    AutomatonError,
     ProbAutomaton,
     complete,
 )

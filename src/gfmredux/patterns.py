@@ -6,7 +6,6 @@ import string
 from typing import Sequence
 
 from .ltl import (
-    AtomSet,
     LtlError,
     LtlFormula,
     always,

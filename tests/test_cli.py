@@ -171,7 +171,8 @@ def test_check_equiv_alphabet_mismatch(fixture_file, capsys):
 
 @pytest.mark.parametrize("case", [
     "redux-bad-states", "check-equiv-bad-states", "solve-missing-mdp",
-    "solve-action-without-name",
+    "solve-action-without-name", "bench-grid-without-cases",
+    "bench-case-without-formula-or-family",
 ])
 def test_bad_input_reports_error_without_traceback(
     case, fixture_text, fixture_file, tmp_path
@@ -186,6 +187,9 @@ def test_bad_input_reports_error_without_traceback(
     del doc["states"][0]["actions"][0]["name"]
     nameless = tmp_path / "nameless.json"
     nameless.write_text(json.dumps(doc), encoding="utf-8")
+    no_cases, no_source = tmp_path / "no_cases.json", tmp_path / "no_source.json"
+    no_cases.write_text(json.dumps({"nocases": 1}), encoding="utf-8")
+    no_source.write_text(json.dumps({"cases": [{"params": [3]}]}), encoding="utf-8")
     argv = {
         "redux-bad-states": ["redux", "--in", str(bad_hoa)],
         "check-equiv-bad-states": ["check-equiv", str(bad_hoa), blind],
@@ -193,6 +197,8 @@ def test_bad_input_reports_error_without_traceback(
                               "--formula", "GF a"],
         "solve-action-without-name": ["solve", "--mdp", str(nameless),
                                       "--formula", "GF b"],
+        "bench-grid-without-cases": ["bench", "--grid", str(no_cases)],
+        "bench-case-without-formula-or-family": ["bench", "--grid", str(no_source)],
     }[case]
     src = os.path.dirname(os.path.dirname(gfmredux.__file__))
     env = dict(os.environ, PYTHONPATH=src)

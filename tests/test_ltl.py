@@ -1,4 +1,9 @@
+import itertools
+import random
+
 import pytest
+
+from gfmredux.gf_direct import gf_to_gfm
 
 from gfmredux.ltl import (
     FF,
@@ -6,6 +11,7 @@ from gfmredux.ltl import (
     AtomSet,
     LtlError,
     LtlParseError,
+    PropBdd,
     af_step,
     always,
     atom,
@@ -158,6 +164,70 @@ def test_prop_equiv_treats_temporal_subformulas_as_variables():
     assert prop_equiv(parse("Fa & !Fa", AB), FF)
     assert not prop_equiv(parse("FFa", AB), parse("Fa", AB))  # distinct vars
     assert not prop_equiv(parse("a U b", AB), parse("b", AB))
+
+
+# six temporal subformulas, read as propositional variables
+TEMPORAL = (ev(A), nxt(B), until(A, B), ev(land(A, nxt(B))), nxt(nxt(A)), ev(B))
+
+
+def _random_prop(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(TEMPORAL + (TT, FF))
+    k = rng.choice(("and", "or", "not"))
+    if k == "not":
+        return lnot(_random_prop(rng, depth - 1))
+    parts = [_random_prop(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+    return land(*parts) if k == "and" else lor(*parts)
+
+
+def _truth_table(f):
+    """f's value under each assignment to TEMPORAL, in a fixed order."""
+    def value(g, val):
+        if g.kind in ("tt", "ff"):
+            return g.kind == "tt"
+        if g.kind == "not":
+            return not value(g.children[0], val)
+        if g.kind == "and":
+            return all(value(c, val) for c in g.children)
+        if g.kind == "or":
+            return any(value(c, val) for c in g.children)
+        return val[g]
+    return tuple(value(f, dict(zip(TEMPORAL, bits)))
+                 for bits in itertools.product((False, True), repeat=len(TEMPORAL)))
+
+
+def test_prop_bdd_nodes_are_equal_iff_truth_tables_are():
+    rng = random.Random(4)
+    bdd = PropBdd()
+    formulas = [_random_prop(rng, 3) for _ in range(400)]
+    node_of_table = {}
+    for f in formulas:
+        table = _truth_table(f)
+        n = bdd.node(f)
+        assert node_of_table.setdefault(table, n) == n, f
+        assert (n == PropBdd.TRUE) == all(table) and (n == PropBdd.FALSE) == (not any(table))
+    nodes = list(node_of_table.values())
+    assert len(set(nodes)) == len(nodes)  # distinct tables, distinct nodes
+    assert 20 < len(nodes) < len(formulas) - 100  # both outcomes are exercised
+
+
+def _x_pow(f, n):
+    for _ in range(n):
+        f = nxt(f)
+    return f
+
+
+def test_prop_equiv_on_long_conjunctions():
+    conj70 = land(*(ev(_x_pow(A, i)) for i in range(1, 71)))
+    conj71 = land(conj70, ev(_x_pow(A, 71)))
+    assert not prop_equiv(conj70, conj71)
+    assert prop_equiv(conj71, land(*reversed(conj71.children)))
+
+
+def test_gfm_size_for_seven_delayed_eventualities():
+    # GF(F Xa & F XXa & ... & F X^7 a): 36 states, one per residual class
+    body = land(*(ev(_x_pow(A, i)) for i in range(1, 8)))
+    assert gf_to_gfm(always(ev(body))).n_states == 36
 
 
 def test_af_step_literals():
