@@ -17,7 +17,7 @@ import time
 from importlib import resources
 
 from .automata import AutomatonError, LassoWord, complete, lasso_member
-from .gf_direct import gf_to_dba, gf_to_gfm
+from .gf_direct import gf_body, gf_to_dba, gf_to_gfm
 from .gfg_min import nca_lang_equiv
 from .hoa import HoaError, from_hoa, to_hoa
 from .ltl import LtlError, LtlParseError, parse, to_string
@@ -40,13 +40,22 @@ class GridError(ValueError):
     """A `bench` grid document that is not shaped as README.md describes."""
 
 
+class NotGfError(ValueError):
+    """A `bench` grid formula that is not GF(co-safety); exit code 2, as in
+    `ltl2gfm-gf`."""
+
+
 # errors that bad input or a failed operation raise: main reports them as
 # `error: ...` with exit code 1 instead of a traceback
 _INPUT_ERRORS = (
     LtlError, HoaError, MdpError, AutomatonError, OSError, json.JSONDecodeError,
     GridError,
 )
-EXACT_DEFAULT_LIMIT = 20_000
+# the largest product solved exactly by default: on the win/trap MDP family of
+# perfbench/workloads.py (goal GF(a & XXb)), exact solving took 1.5 s at 4,139
+# product states and 12 s at 8,320 with CPython 3.11 on a Xeon core (float
+# mode: 0.5 s and 1.2 s)
+EXACT_DEFAULT_LIMIT = 5_000
 
 
 def _write(path: str | None, text: str):
@@ -141,22 +150,26 @@ def _cmd_product(args) -> int:
     return 0
 
 
-def _pick_exact(n_states: int) -> bool:
+def _pick_exact(n_states: int) -> tuple[bool, str]:
+    """Exact or float arithmetic, and why: "env" when GFMREDUX_EXACT
+    decides, else "limit N" for the product size limit N."""
     env = os.environ.get("GFMREDUX_EXACT")
     if env is not None and env != "":
-        return env != "0"
-    return n_states <= EXACT_DEFAULT_LIMIT
+        return env != "0", "env"
+    return n_states <= EXACT_DEFAULT_LIMIT, f"limit {EXACT_DEFAULT_LIMIT}"
 
 
 def _cmd_solve(args) -> int:
     prod, route = _build_product(args)
-    exact = _pick_exact(prod.mdp.n_states)
+    exact, reason = _pick_exact(prod.mdp.n_states)
     res = synthesize(prod, exact=exact)
     doc = {
         "route": route,
         "exact": exact,
+        "exact_reason": reason,
         "value": str(res.value) if exact else None,
         "value_float": float(res.value),
+        "error_bound": res.values.gap,
         "product_states": prod.mdp.n_states,
         "goal_states": len(res.goal),
         "mecs": len(res.mecs),
@@ -260,7 +273,9 @@ def _bench_md(rows) -> str:
 
 
 def _grid_cases(grid) -> list[tuple[str, str]]:
-    """(name, formula text) of each case of a bench grid; GridError if malformed."""
+    """(name, formula text) of each case of a bench grid.  Raises GridError
+    if the grid is malformed or a formula does not parse, NotGfError if a
+    formula is not GF(co-safety)."""
     if not isinstance(grid, dict) or not isinstance(grid.get("cases"), list):
         raise GridError("bench grid must be a JSON object with a list 'cases'")
     cases = []
@@ -278,13 +293,25 @@ def _grid_cases(grid) -> list[tuple[str, str]]:
         else:
             raise GridError(f"bench grid case {i} needs a string 'formula', or a "
                             "string 'family' and a list of integers 'params'")
+        try:
+            f = parse(text)
+        except LtlParseError as exc:
+            raise GridError(f"bench grid case {i}: {exc}") from None
+        try:
+            gf_body(f)
+        except LtlError as exc:
+            raise NotGfError(f"bench grid case {i}: {exc}") from None
         cases.append((name, text))
     return cases
 
 
 def _cmd_bench(args) -> int:
     grid = json.loads(_read(args.grid))
-    cases = _grid_cases(grid)
+    try:
+        cases = _grid_cases(grid)
+    except NotGfError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         timeout = float(grid.get("timeout", args.timeout))
     except (TypeError, ValueError):

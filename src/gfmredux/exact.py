@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 
@@ -9,35 +10,69 @@ class SingularSystemError(ValueError):
     pass
 
 
-def solve_linear(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+def solve_linear(a, b: list[Fraction]) -> list[Fraction]:
     """Solve a x = b by Gaussian elimination with exact arithmetic.
 
-    `a` is a dense square matrix (rows of Fractions); `a` and `b` are not
-    modified.  Raises SingularSystemError if no unique solution exists.
+    Each row of the square matrix `a` is a sequence of coefficients or a
+    dict from column to nonzero coefficient; `a` and `b` are not modified.
+    Elimination is sparse: the pivot is taken in a row with the fewest
+    nonzeros, at the column of that row that occurs in the fewest rows (a
+    cheap form of Markowitz's rule, Management Science 1957), which keeps
+    fill-in low on the sparse systems of Markov chains.  Exact arithmetic
+    needs no pivoting for stability.  Raises SingularSystemError if no
+    unique solution exists.
     """
-    n = len(a)
-    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise SingularSystemError(f"singular at column {col}")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-        prow = m[col]
-        inv = Fraction(1) / prow[col]
-        for r in range(col + 1, n):
-            factor = m[r][col]
-            if factor == 0:
-                continue
-            factor *= inv
-            row = m[r]
-            for c in range(col, n + 1):
-                row[c] -= factor * prow[c]
+    n = len(b)
+    rows = [
+        dict(row) if isinstance(row, dict)
+        else {c: v for c, v in enumerate(row) if v}
+        for row in a
+    ]
+    rhs = list(b)
+    rows_of: list[set[int]] = [set() for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c in row:
+            rows_of[c].add(r)
+    queue = [(len(row), r) for r, row in enumerate(rows)]
+    heapq.heapify(queue)
+    done = [False] * n
+    order = []
+    while queue:
+        size, r = heapq.heappop(queue)
+        if done[r] or size != len(rows[r]):
+            continue  # a stale entry: the row changed size after it was queued
+        prow = rows[r]
+        if not prow:
+            raise SingularSystemError(f"singular: row {r} eliminated to zero")
+        col = min(prow, key=lambda c: (len(rows_of[c]), c))
+        done[r] = True
+        order.append((r, col))
+        for c in prow:
+            rows_of[c].discard(r)
+        pivot, pb = prow[col], rhs[r]
+        for r2 in rows_of[col]:
+            row = rows[r2]
+            factor = row.pop(col) / pivot
+            for c, v in prow.items():
+                if c == col:
+                    continue
+                new = row.get(c, 0) - factor * v
+                if new:
+                    if c not in row:
+                        rows_of[c].add(r2)
+                    row[c] = new
+                elif c in row:
+                    del row[c]
+                    rows_of[c].discard(r2)
+            if pb:
+                rhs[r2] -= factor * pb
+            heapq.heappush(queue, (len(row), r2))
+        rows_of[col].clear()
     x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = m[r][n]
-        row = m[r]
-        for c in range(r + 1, n):
-            acc -= row[c] * x[c]
-        x[r] = acc / row[r]
+    for r, col in reversed(order):
+        acc = rhs[r]
+        for c, v in rows[r].items():
+            if c != col:
+                acc -= v * x[c]
+        x[col] = acc / rows[r][col]
     return x

@@ -25,6 +25,10 @@ from .graph import component_of, coreach, strongly_connected_components
 
 _VI_TOL = 1e-10
 _VI_CAP = 1_000_000
+# the float pass that seeds exact policy iteration only has to rank actions,
+# and policy iteration corrects any it ranks wrongly, so it may stop early
+_SEED_TOL = 1e-6
+_SEED_CAP = 1_000
 _ARGMAX_TOL = 1e-9
 
 
@@ -313,16 +317,22 @@ class Mec:
     closed: bool
 
 
-def mec_decompose(
-    m: Mdp, marked: frozenset[tuple[int, int, int]] = frozenset()
-) -> tuple[Mec, ...]:
-    avail = {q: set(range(m.n_actions(q))) for q in m.states()}
-    alive = set(m.states())
+def _end_components(states, actions) -> list[tuple[list, dict]]:
+    """Maximal end components of the sub-MDP on `states`.
+
+    `actions[q]` lists, for each action of q, the successors it can move
+    to; an action stays only while all of them lie in the strongly
+    connected component of q among the states left (de Alfaro's refinement,
+    Baier & Katoen section 10.6.3).  Returns one (states, {state: staying
+    action indices}) pair per component, in reverse topological order.
+    """
+    avail = {q: set(range(len(actions[q]))) for q in states}
+    alive = set(states)
 
     def succ(q):
         out = set()
         for ai in avail[q]:
-            out.update(s for s, _ in m.dist(q, ai))
+            out.update(s for s in actions[q][ai] if s in alive)
         return sorted(out)
 
     while True:
@@ -332,7 +342,7 @@ def mec_decompose(
             for ai in sorted(avail[q]):
                 if any(
                     s not in alive or comp_of[s] != comp_of[q]
-                    for s, _ in m.dist(q, ai)
+                    for s in actions[q][ai]
                 ):
                     avail[q].discard(ai)
                     changed = True
@@ -341,13 +351,23 @@ def mec_decompose(
                 changed = True
         if not changed:
             break
+    return [
+        (comp, {q: sorted(avail[q]) for q in comp})
+        for comp in strongly_connected_components(sorted(alive), succ)
+    ]
 
-    comps = strongly_connected_components(sorted(alive), succ)
+
+def mec_decompose(
+    m: Mdp, marked: frozenset[tuple[int, int, int]] = frozenset()
+) -> tuple[Mec, ...]:
+    successors = {
+        q: [[s for s, _ in dist] for dist in m.transitions[q]] for q in m.states()
+    }
     mecs = []
-    for comp in comps:
+    for comp, staying in _end_components(list(m.states()), successors):
         states = frozenset(comp)
         actions = frozenset(
-            (q, ai) for q in comp for ai in avail[q]
+            (q, ai) for q in comp for ai in staying[q]
         )
         accepting = any(
             (q, ai, s) in marked
@@ -369,8 +389,12 @@ def mec_decompose(
 
 @dataclass(frozen=True)
 class ValueVector:
+    """Values per state.  In float mode every value lies within `gap` of
+    the exact one; in exact mode `gap` is 0."""
+
     values: tuple
     exact: bool
+    gap: float = 0.0
 
     def __getitem__(self, q: int):
         return self.values[q]
@@ -405,41 +429,202 @@ def _prob1(m: Mdp, goal: frozenset[int]) -> frozenset[int]:
         universe = inside
 
 
-def _policy_values(
-    m: Mdp, interior: list[int], ones: frozenset[int], policy: dict[int, int]
-) -> dict[int, Fraction]:
-    """Least fixpoint value of a fixed policy: states that cannot reach a
-    value-one state under it get 0, the rest solve a linear system."""
+def _chain_reach(row, nodes, ones) -> dict:
+    """Probability that a Markov chain reaches `ones`, exactly.
+
+    `row(q)` lists the (successor, probability) pairs of node q; a
+    successor that is neither a node nor in `ones` has value 0.  Nodes that
+    cannot reach `ones` get 0.  The rest are solved one strongly connected
+    component at a time in reverse topological order (Dai, Mausam, Weld &
+    Goldsmith, JAIR 2011), so each component only reads values already
+    known: a single state by the closed form, a larger component by one
+    sparse linear solve over its own states.  Returns the values of the
+    nodes and of `ones` (all 1).
+    """
+    rows = {q: row(q) for q in nodes}
+    value = dict.fromkeys(nodes, Fraction(0))
+    value.update(dict.fromkeys(ones, Fraction(1)))
     reach = coreach(
-        [*interior, *ones],
-        lambda q: [s for s, _ in m.dist(q, policy[q])] if q in policy else (),
-        ones,
+        value, lambda q: [s for s, _ in rows[q]] if q in rows else (), ones
     )
-    live = [q for q in interior if q in reach]
-    values = {q: Fraction(0) for q in interior}
-    if live:
-        pos = {q: i for i, q in enumerate(live)}
-        a = [[Fraction(0)] * len(live) for _ in live]
-        b = [Fraction(0)] * len(live)
-        for q in live:
-            i = pos[q]
-            a[i][i] = Fraction(1)
-            for s, p in m.dist(q, policy[q]):
-                if s in ones:
-                    b[i] += p
+    live = [q for q in rows if q in reach]
+    for comp in strongly_connected_components(
+        live, lambda q: [s for s, _ in rows[q] if s in rows and s in reach]
+    ):
+        if len(comp) == 1:
+            q = comp[0]
+            loop = acc = Fraction(0)
+            for s, p in rows[q]:
+                if s == q:
+                    loop = p
+                elif value.get(s):
+                    acc += p * value[s]
+            value[q] = acc / (1 - loop) if loop else acc
+            continue
+        pos = {q: i for i, q in enumerate(comp)}
+        a = [{i: Fraction(1)} for i in range(len(comp))]
+        b = [Fraction(0)] * len(comp)
+        for q, i in pos.items():
+            for s, p in rows[q]:
+                if s in pos:
+                    a[i][pos[s]] = a[i].get(pos[s], 0) - p
+                elif value.get(s):
+                    b[i] += p * value[s]
+        for q, x in zip(comp, solve_linear(a, b)):
+            value[q] = x
+    return value
+
+
+def _float_model(m: Mdp, interior: list[int], sure: frozenset[int]):
+    """The interior's actions, converted to floats once.
+
+    Row i lists the actions of interior[i] as (action index, probability
+    into `sure`, [(interior position, probability)], stays) tuples; `stays`
+    says every successor is interior.  A self-loop of probability p is
+    removed by dividing the rest by 1 - p, in exact arithmetic before the
+    conversion: that keeps the least fixpoint of the maximum, since an
+    action repeated until it leaves q is worth (rest) / (1 - p).  Actions
+    left with no successor, such as a pure self-loop, are dropped: they are
+    worth 0.
+    """
+    pos = {q: i for i, q in enumerate(interior)}
+    rows = []
+    for q in interior:
+        acts = []
+        for ai, dist in enumerate(m.transitions[q]):
+            loop = const = Fraction(0)
+            inner = []
+            stays = True
+            for s, p in dist:
+                if s == q:
+                    loop = p
                 elif s in pos:
-                    a[i][pos[s]] -= p
-        sol = solve_linear(a, b)
-        for q in live:
-            values[q] = sol[pos[q]]
-    return values
+                    inner.append((pos[s], p))
+                else:
+                    stays = False
+                    if s in sure:
+                        const += p
+            if not const and not inner:
+                continue
+            if loop:
+                scale = 1 / (1 - loop)
+                const *= scale
+                inner = [(j, p * scale) for j, p in inner]
+            acts.append(
+                (ai, float(const), [(j, float(p)) for j, p in inner], stays)
+            )
+        rows.append(acts)
+    return rows
+
+
+def _interval_iteration(rows, tol: float, cap: int):
+    """Gauss-Seidel lower and upper bounds on maximal reachability over
+    the float model (Haddad & Monmege, TCS 2018).
+
+    The lower bound starts at 0 and the upper bound at 1.  End components
+    among the interior states would hold the upper bound above the value,
+    so after each sweep it is deflated: no state of a maximal end component
+    is worth more than the best action leaving it.  Stops once every upper
+    bound is within `tol` of its lower bound, or after `cap` sweeps.
+    Returns the midpoints of the bounds, the largest distance between
+    them (which bounds the midpoints' error, up to float rounding) and the
+    number of sweeps.
+    """
+    n = len(rows)
+    closed = {
+        i: [[j for j, _ in succ] if stays else [-1] for _, _, succ, stays in acts]
+        for i, acts in enumerate(rows)
+        if any(stays for *_, stays in acts)
+    }
+    exits = []
+    for comp, staying in _end_components(list(closed), closed):
+        leave = [
+            (c, succ)
+            for i in comp
+            for k, (_, c, succ, _) in enumerate(rows[i])
+            if k not in staying[i]
+        ]
+        exits.append((comp, leave))
+    lo = [0.0] * n
+    hi = [1.0] * n
+    gap = 1.0 if n else 0.0
+    sweeps = 0
+    while gap > tol and sweeps < cap:
+        sweeps += 1
+        for i, acts in enumerate(rows):
+            best_lo = best_hi = 0.0
+            for _, c, succ, _ in acts:
+                v_lo = v_hi = c
+                for j, p in succ:
+                    v_lo += p * lo[j]
+                    v_hi += p * hi[j]
+                if v_lo > best_lo:
+                    best_lo = v_lo
+                if v_hi > best_hi:
+                    best_hi = v_hi
+            lo[i] = best_lo
+            hi[i] = best_hi
+        for comp, leave in exits:
+            bound = max(
+                (c + sum(p * hi[j] for j, p in succ) for c, succ in leave),
+                default=0.0,
+            )
+            for i in comp:
+                if hi[i] > bound:
+                    hi[i] = bound
+        gap = max(h - l for h, l in zip(hi, lo))
+    return [(l + h) / 2 for l, h in zip(lo, hi)], gap, sweeps
+
+
+def _attract(m: Mdp, targets, candidates: dict[int, list[int]]) -> dict[int, int]:
+    """Backward breadth-first search from `targets` over candidate actions.
+
+    `candidates` maps states to the action indices they may use.  A state
+    is reached through the candidate action whose successor the search
+    reached first (the lowest index among ties), and maps to that action,
+    so each reached state's action moves strictly closer to `targets` with
+    positive probability.  Linear in the candidates' transitions.
+    """
+    pred: dict[int, list[tuple[int, int]]] = {}
+    for q, acts in candidates.items():
+        for ai in acts:
+            for s, _ in m.dist(q, ai):
+                pred.setdefault(s, []).append((q, ai))
+    choice: dict[int, int] = {}
+    queue = sorted(targets)
+    for s in queue:
+        for q, ai in pred.get(s, ()):
+            if q not in choice:
+                choice[q] = ai
+                queue.append(q)
+    return choice
+
+
+def _seed_policy(m, interior, sure, rows, mid) -> dict[int, int]:
+    """A policy read off float values `mid` of the interior: per interior
+    state, the actions within _ARGMAX_TOL of the best, attracted toward
+    `sure`; a state the search misses takes its best action."""
+    candidates = {}
+    for q, acts in zip(interior, rows):
+        scores = [
+            (c + sum(p * mid[j] for j, p in succ), ai) for ai, c, succ, _ in acts
+        ]
+        best = max(scores)[0]
+        candidates[q] = sorted(ai for v, ai in scores if v >= best - _ARGMAX_TOL)
+    choice = _attract(m, sure, candidates)
+    return {q: choice.get(q, candidates[q][0]) for q in interior}
 
 
 def max_reach(m: Mdp, goal: frozenset[int], exact: bool = True) -> ValueVector:
     """Optimal probability of reaching `goal` (absorbing) from every state.
 
-    Exact mode runs policy iteration over fractions after the qualitative
-    0/1 analysis; float mode runs value iteration to 1e-10.
+    After the qualitative 0/1 analysis both modes run interval iteration
+    on the remaining states.  Float mode returns the midpoints of the
+    bounds once they are within _VI_TOL of each other, and raises MdpError
+    if that takes more than _VI_CAP sweeps.  Exact mode uses the bounds
+    only to pick the first policy of a policy iteration over fractions:
+    each policy is evaluated exactly by `_chain_reach`, and an exact
+    improvement sweep that switches nothing proves it optimal.
     """
     goal = frozenset(goal)
     for q in goal:
@@ -448,55 +633,60 @@ def max_reach(m: Mdp, goal: frozenset[int], exact: bool = True) -> ValueVector:
     reachers = _can_reach(m, goal)
     sure = _prob1(m, goal)
     interior = [q for q in m.states() if q in reachers and q not in sure]
+    rows = _float_model(m, interior, sure)
 
-    if exact:
-        values = {q: Fraction(1) for q in sure}
-        values.update({q: Fraction(0) for q in m.states() if q not in reachers})
-        if interior:
-            policy = {q: 0 for q in interior}
-            current = _policy_values(m, interior, sure, policy)
-            for _ in range(100_000):
-                switched = False
-                for q in interior:
-                    best_val = current[q]
-                    best_ai = policy[q]
-                    for ai in range(m.n_actions(q)):
-                        val = Fraction(0)
-                        for s, p in m.dist(q, ai):
-                            if s in sure:
-                                val += p
-                            elif s in current:
-                                val += p * current[s]
-                        if val > best_val:
-                            best_val = val
-                            best_ai = ai
-                    if best_ai != policy[q] and best_val > current[q]:
-                        policy[q] = best_ai
-                        switched = True
-                if not switched:
-                    break
-                current = _policy_values(m, interior, sure, policy)
-            else:  # pragma: no cover
-                raise MdpError("policy iteration failed to converge")
-            values.update(current)
-        return ValueVector(tuple(values[q] for q in m.states()), exact=True)
+    if not exact:
+        mid, gap, sweeps = _interval_iteration(rows, _VI_TOL, _VI_CAP)
+        if gap > _VI_TOL:
+            raise MdpError(
+                f"float value iteration did not converge: gap {gap:.3g} "
+                f"after {sweeps} sweeps"
+            )
+        vals = [1.0 if q in sure else 0.0 for q in m.states()]
+        for q, v in zip(interior, mid):
+            vals[q] = v
+        return ValueVector(tuple(vals), exact=False, gap=gap)
 
-    vals = [1.0 if q in sure else 0.0 for q in m.states()]
-    for _ in range(_VI_CAP):
-        delta = 0.0
-        for q in interior:
-            best = 0.0
-            for ai in range(m.n_actions(q)):
-                acc = 0.0
-                for s, p in m.dist(q, ai):
-                    acc += float(p) * vals[s]
-                if acc > best:
-                    best = acc
-            delta = max(delta, abs(best - vals[q]))
-            vals[q] = best
-        if delta < _VI_TOL:
-            break
-    return ValueVector(tuple(vals), exact=False)
+    values = {q: Fraction(1) for q in sure}
+    values.update({q: Fraction(0) for q in m.states() if q not in reachers})
+    if interior:
+        mid, _, _ = _interval_iteration(rows, _SEED_TOL, _SEED_CAP)
+        policy = _seed_policy(m, interior, sure, rows, mid)
+        for _ in range(100_000):
+            current = _chain_reach(
+                lambda q: m.dist(q, policy[q]), interior, sure
+            )
+            # An action beats q's value only if its float-model value does
+            # (removing a self-loop keeps that comparison, and dropped
+            # actions cannot), and rounding errs by far less than
+            # _ARGMAX_TOL: only actions within it of q's value are compared
+            # exactly.
+            approx = [float(current[q]) for q in interior]
+            switched = False
+            for q, acts, here in zip(interior, rows, approx):
+                best_val = current[q]
+                best_ai = policy[q]
+                for ai, c, succ, _ in acts:
+                    if ai == policy[q]:
+                        continue
+                    if c + sum(p * approx[j] for j, p in succ) < here - _ARGMAX_TOL:
+                        continue
+                    val = Fraction(0)
+                    for s, p in m.dist(q, ai):
+                        if s in current:
+                            val += p * current[s]
+                    if val > best_val:
+                        best_val = val
+                        best_ai = ai
+                if best_ai != policy[q]:
+                    policy[q] = best_ai
+                    switched = True
+            if not switched:
+                break
+        else:  # pragma: no cover
+            raise MdpError("policy iteration failed to converge")
+        values.update(current)
+    return ValueVector(tuple(values[q] for q in m.states()), exact=True)
 
 
 # ----------------------------------------------------------------- strategy
@@ -526,55 +716,41 @@ def strategy_to_json(m: Mdp, strategy: Strategy, pairs=None) -> dict:
     return {"type": "memoryless", "states": states}
 
 
-def _argmax_actions(m: Mdp, vv: ValueVector, q: int) -> list[int]:
-    best = None
-    scores = []
-    for ai in range(m.n_actions(q)):
-        if vv.exact:
-            val = sum((p * vv[s] for s, p in m.dist(q, ai)), Fraction(0))
-        else:
-            val = sum(float(p) * vv[s] for s, p in m.dist(q, ai))
-        scores.append(val)
-        if best is None or val > best:
-            best = val
-    if vv.exact:
-        return [ai for ai, val in enumerate(scores) if val == best]
-    return [ai for ai, val in enumerate(scores) if val >= best - _ARGMAX_TOL]
+def _argmax_actions(m: Mdp, vv: ValueVector, q: int, approx) -> list[int]:
+    """The value-optimal actions of q.  All actions are scored in floats
+    (`approx` holds vv's values as floats) and those within _ARGMAX_TOL of
+    the best are kept; in exact mode the ones left are then compared over
+    fractions, which float rounding cannot mislead at that margin."""
+    scores = [
+        sum(float(p) * approx[s] for s, p in dist) for dist in m.transitions[q]
+    ]
+    best = max(scores)
+    near = [ai for ai, val in enumerate(scores) if val >= best - _ARGMAX_TOL]
+    if not vv.exact or len(near) == 1:
+        return near
+    exact = {
+        ai: sum((p * vv[s] for s, p in m.dist(q, ai)), Fraction(0)) for ai in near
+    }
+    top = max(exact.values())
+    return [ai for ai in near if exact[ai] == top]
 
 
 def extract_reach_strategy(
     m: Mdp, goal: frozenset[int], vv: ValueVector
 ) -> tuple[int, ...]:
-    """One action per state: among value-optimal actions, the lowest-order
-    one whose support moves strictly closer to the goal (closer = smaller
-    rank in a backward induction from the goal through optimal actions).
-    Zero-value and goal states take their first action."""
-    choice = {q: 0 for q in m.states()}
-    ranked = {q: 0 for q in goal}
+    """One action per state: a value-optimal action whose support moves
+    strictly closer to the goal, found by one backward breadth-first search
+    from the goal through the optimal actions of positive-value states (see
+    `_attract`).  Zero-value and goal states, and positive-value states the
+    search misses (float rounding), take their first action."""
+    approx = [float(v) for v in vv.values] if vv.exact else vv.values
     candidates = {
-        q: _argmax_actions(m, vv, q)
+        q: _argmax_actions(m, vv, q, approx)
         for q in m.states()
         if q not in goal and (vv[q] > 0 if vv.exact else vv[q] > _ARGMAX_TOL)
     }
-    pending = set(candidates)
-    while pending:
-        progressed = False
-        for q in sorted(pending):
-            for ai in candidates[q]:
-                if any(s in ranked for s, _ in m.dist(q, ai)):
-                    rank = 1 + min(
-                        ranked[s] for s, _ in m.dist(q, ai) if s in ranked
-                    )
-                    ranked[q] = rank
-                    choice[q] = ai
-                    pending.discard(q)
-                    progressed = True
-                    break
-            if progressed:
-                break
-        if not progressed:
-            break  # positive-value states not attracted: float-mode fuzz
-    return tuple(choice[q] for q in m.states())
+    choice = _attract(m, goal, candidates)
+    return tuple(choice.get(q, 0) for q in m.states())
 
 
 # ---------------------------------------------------------------- synthesis
@@ -641,39 +817,17 @@ def induce_mc(prod: ProductMdp, strategy: Strategy) -> Fraction:
         list(m.states()), lambda q: sorted(edges[q])
     )
     comp_of = component_of(comps)
-    bottom = [
+    bottom = {
         ci for ci, comp in enumerate(comps)
         if all(comp_of[s] == ci for q in comp for s in edges[q])
-    ]
-    winning = set()
-    for ci in bottom:
-        comp = set(comps[ci])
-        if any(q in comp and s in comp for q, s in hot):
-            winning.update(comp)
-    losing = set()
-    for ci in bottom:
-        comp = set(comps[ci])
-        if not comp & winning:
-            losing.update(comp)
-
-    transient = [q for q in m.states() if q not in winning and q not in losing]
-    value = {q: Fraction(1) for q in winning}
-    value.update({q: Fraction(0) for q in losing})
-    if transient:
-        pos = {q: i for i, q in enumerate(transient)}
-        a = [[Fraction(0)] * len(transient) for _ in transient]
-        b = [Fraction(0)] * len(transient)
-        for q in transient:
-            i = pos[q]
-            a[i][i] += Fraction(1)
-            for s, p in edges[q].items():
-                if s in pos:
-                    a[i][pos[s]] -= p
-                elif s in winning:
-                    b[i] += p
-        sol = solve_linear(a, b)
-        for q in transient:
-            value[q] = sol[pos[q]]
+    }
+    hot_bottom = {comp_of[q] for q, s in hot if comp_of[q] == comp_of[s]} & bottom
+    winning = {q for ci in hot_bottom for q in comps[ci]}
+    value = _chain_reach(
+        lambda q: edges[q].items(),
+        [q for q in m.states() if q not in winning],
+        winning,
+    )
     return value[m.initial]
 
 

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import gfmredux
-from gfmredux.cli import main, main_gen_pattern, main_ltl2gfm_gf
+from gfmredux import mdp
+from gfmredux.cli import EXACT_DEFAULT_LIMIT, main, main_gen_pattern, main_ltl2gfm_gf
 from gfmredux.hoa import from_hoa
 from gfmredux.redux import pa_from_json
 
@@ -121,6 +122,8 @@ def test_solve_nba_override(fixture_file, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["value"] == "1/2" and doc["value_float"] == 0.5
     assert doc["exact"] is True and doc["product_states"] == 7
+    assert doc["exact_reason"] == f"limit {EXACT_DEFAULT_LIMIT}"
+    assert doc["error_bound"] == 0
     sdoc = json.loads(strat.read_text())
     assert sdoc["type"] == "memoryless"
     assert len(sdoc["states"]) == 7
@@ -135,7 +138,19 @@ def test_solve_env_forces_float(fixture_file, tmp_path, capsys, monkeypatch):
     assert "float" in capsys.readouterr().out
     doc = json.loads(out.read_text())
     assert doc["exact"] is False and doc["value"] is None
+    assert doc["exact_reason"] == "env"
+    assert 0 <= doc["error_bound"] <= 1e-10
     assert abs(doc["value_float"] - 0.5) <= 1e-9
+
+
+def test_solve_float_cap_is_an_error(fixture_file, capsys, monkeypatch):
+    monkeypatch.setenv("GFMREDUX_EXACT", "0")
+    monkeypatch.setattr(mdp, "_VI_CAP", 0)
+    rc = main(["solve", "--mdp", fixture_file("coinflip_mdp.json"),
+               "--formula", "GF b"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: float value iteration "
+                                              "did not converge")
 
 
 def test_solve_needs_formula_or_nba(fixture_file, capsys):
@@ -172,7 +187,8 @@ def test_check_equiv_alphabet_mismatch(fixture_file, capsys):
 @pytest.mark.parametrize("case", [
     "redux-bad-states", "check-equiv-bad-states", "solve-missing-mdp",
     "solve-action-without-name", "bench-grid-without-cases",
-    "bench-case-without-formula-or-family",
+    "bench-case-without-formula-or-family", "bench-formula-does-not-parse",
+    "bench-formula-not-gf",
 ])
 def test_bad_input_reports_error_without_traceback(
     case, fixture_text, fixture_file, tmp_path
@@ -190,6 +206,10 @@ def test_bad_input_reports_error_without_traceback(
     no_cases, no_source = tmp_path / "no_cases.json", tmp_path / "no_source.json"
     no_cases.write_text(json.dumps({"nocases": 1}), encoding="utf-8")
     no_source.write_text(json.dumps({"cases": [{"params": [3]}]}), encoding="utf-8")
+    unparsed, not_gf = tmp_path / "unparsed.json", tmp_path / "not_gf.json"
+    unparsed.write_text(json.dumps({"cases": [{"formula": "GF(("}]}), encoding="utf-8")
+    not_gf.write_text(json.dumps({"cases": [{"formula": "GF a"}, {"formula": "G a"}]}),
+                      encoding="utf-8")
     argv = {
         "redux-bad-states": ["redux", "--in", str(bad_hoa)],
         "check-equiv-bad-states": ["check-equiv", str(bad_hoa), blind],
@@ -199,6 +219,8 @@ def test_bad_input_reports_error_without_traceback(
                                       "--formula", "GF b"],
         "bench-grid-without-cases": ["bench", "--grid", str(no_cases)],
         "bench-case-without-formula-or-family": ["bench", "--grid", str(no_source)],
+        "bench-formula-does-not-parse": ["bench", "--grid", str(unparsed)],
+        "bench-formula-not-gf": ["bench", "--grid", str(not_gf)],
     }[case]
     src = os.path.dirname(os.path.dirname(gfmredux.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -206,9 +228,11 @@ def test_bad_input_reports_error_without_traceback(
         [sys.executable, "-m", "gfmredux.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 1
+    # exit code 2 for a formula that is not GF(co-safety), as in ltl2gfm-gf
+    assert proc.returncode == (2 if case == "bench-formula-not-gf" else 1)
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_bench_outputs_are_stable(tmp_path, capsys):

@@ -1,15 +1,20 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from gfmredux import mdp
 from gfmredux.automata import Alphabet
 from gfmredux.hoa import from_hoa
 from gfmredux.ltl import AtomSet
 from gfmredux.mdp import (
     Mdp,
     MdpError,
+    ProductMdp,
+    Strategy,
+    extract_reach_strategy,
     gen_random_mdp,
     index_mdp,
     induce_mc,
@@ -198,6 +203,115 @@ def test_max_reach_against_enumeration():
         assert all(
             abs(float(w) - v) <= 1e-9 for w, v in zip(want, approx.values)
         ), seed
+
+
+WIN, TRAP = 0, 1
+SINKS = (((WIN, Fraction(1)),),), (((TRAP, Fraction(1)),),)
+
+
+@pytest.mark.parametrize("leak", [Fraction(1, 10**6), Fraction(1, 10**11)])
+def test_float_slow_mixing_chain(leak):
+    # one state that stays put with probability 1 - 2 * leak
+    m = _mdp(
+        (*SINKS, (((WIN, leak), (TRAP, leak), (2, 1 - 2 * leak)),)),
+        (0, 0, 0), initial=2,
+    )
+    vv = max_reach(m, frozenset({WIN}), exact=False)
+    assert abs(vv[2] - 0.5) <= 1e-9
+    assert vv.gap <= mdp._VI_TOL
+    assert max_reach(m, frozenset({WIN})).gap == 0
+
+
+def test_float_cap_raises_instead_of_returning(monkeypatch):
+    # two states that swap with probability 1 - 1e-6 and leak the rest
+    swap, leak = 1 - Fraction(1, 10**6), Fraction(1, 2 * 10**6)
+    m = _mdp(
+        (*SINKS,
+         (((WIN, leak), (TRAP, leak), (3, swap)),),
+         (((WIN, leak), (TRAP, leak), (2, swap)),)),
+        (0, 0, 0, 0), initial=2,
+    )
+    assert max_reach(m, frozenset({WIN}))[2] == Fraction(1, 2)
+    monkeypatch.setattr(mdp, "_VI_CAP", 5)
+    with pytest.raises(MdpError, match="did not converge"):
+        max_reach(m, frozenset({WIN}), exact=False)
+
+
+def test_float_upper_bound_deflated_on_interior_end_component(monkeypatch):
+    # states 2 and 3 may swap forever (an end component that is not a goal);
+    # 2 can exit to a coin flip, 3 to a state 4 that wins with 1/3
+    third = Fraction(1, 3)
+    half = Fraction(1, 2)
+    m = _mdp(
+        (*SINKS,
+         (((3, Fraction(1)),), ((WIN, half), (TRAP, half))),
+         (((2, Fraction(1)),), ((4, Fraction(1)),)),
+         (((WIN, third), (TRAP, 1 - third)),)),
+        (0, 0, 0, 0, 0), initial=2,
+    )
+    goal = frozenset({WIN})
+    want = brute_max_reach(m, goal)
+    assert max_reach(m, goal).values == tuple(want)
+    assert want[2] == want[3] == half
+    # without deflation the upper bound of states 2 and 3 stays at 1
+    monkeypatch.setattr(mdp, "_VI_CAP", 100)
+    approx = max_reach(m, goal, exact=False)
+    assert all(abs(float(w) - v) <= 1e-9 for w, v in zip(want, approx.values))
+
+
+def _with_sinks(m, goal, trap):
+    """m with the goal and the trap state each reduced to one self-loop, as
+    a product whose marked edge is the goal's loop."""
+    names = tuple(
+        ("stay",) if q in (goal, trap) else m.action_names[q] for q in m.states()
+    )
+    trans = tuple(
+        (((q, Fraction(1)),),) if q in (goal, trap) else m.transitions[q]
+        for q in m.states()
+    )
+    return ProductMdp(
+        mdp=dataclasses.replace(m, action_names=names, transitions=trans),
+        pairs=tuple((q, 0) for q in m.states()),
+        marked=frozenset({(goal, 0, goal)}),
+    )
+
+
+def _sink_models():
+    """200 seeded random MDPs, each with a goal and a trap state, so that
+    many states have values strictly between 0 and 1."""
+    for seed in range(200):
+        rng = random.Random(1000 + seed)
+        m = gen_random_mdp(rng)
+        goal, trap = rng.sample(range(m.n_states), 2)
+        yield seed, goal, _with_sinks(m, goal, trap)
+
+
+def test_induce_mc_and_max_reach_against_enumeration():
+    for seed, g, prod in _sink_models():
+        m, goal = prod.mdp, frozenset({g})
+        want = brute_max_reach(m, goal)
+        vv = max_reach(m, goal)
+        assert list(vv.values) == want, seed
+        approx = max_reach(m, goal, exact=False)
+        assert all(
+            abs(float(w) - v) <= 1e-9 for w, v in zip(want, approx.values)
+        ), seed
+        picks = extract_reach_strategy(m, goal, vv)
+        strategy = Strategy(tuple(((ai, Fraction(1)),) for ai in picks))
+        for q in m.states():
+            start = dataclasses.replace(prod, mdp=dataclasses.replace(m, initial=q))
+            assert induce_mc(start, strategy) == want[q], (seed, q)
+
+
+def test_exact_policy_iteration_from_a_blind_start(monkeypatch):
+    # start from every state's first action instead of the float policy,
+    # so that policy iteration has to switch actions
+    monkeypatch.setattr(
+        mdp, "_seed_policy", lambda m, interior, *_: dict.fromkeys(interior, 0)
+    )
+    for seed, g, prod in _sink_models():
+        m, goal = prod.mdp, frozenset({g})
+        assert list(max_reach(m, goal).values) == brute_max_reach(m, goal), seed
 
 
 def test_gen_random_mdp_seed_determinism():
