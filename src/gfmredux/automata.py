@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import solve_linear
+from .exact import chain_accept
 from .graph import closure, component_of, coreach, strongly_connected_components
 from .ltl import AtomSet
 
@@ -58,14 +58,6 @@ class Alphabet:
         if not 1 <= index <= self.index_arity:
             raise AutomatonError(f"index {index} out of range")
         return mask * self.index_arity + (index - 1)
-
-    def letter_str(self, letter: int) -> str:
-        mask = self.mask(letter)
-        names = [n for i, n in enumerate(self.atoms.names) if mask >> i & 1]
-        s = "{" + ",".join(names) + "}"
-        if self.index_arity > 1:
-            s += f"#{self.index(letter)}"
-        return s
 
 
 @dataclass(frozen=True)
@@ -390,11 +382,6 @@ def dcw_counterexample(a1: Automaton, a2: Automaton) -> LassoWord | None:
     return LassoWord(tuple(prefix), (wl, *cycle_tail))
 
 
-def dcw_contained(a1: Automaton, a2: Automaton) -> bool:
-    """L(a1) subset of L(a2) for co-Buchi automata (a2 deterministic complete)."""
-    return dcw_counterexample(a1, a2) is None
-
-
 # -------------------------------------------- language classes of a DCW
 
 @lru_cache(maxsize=64)
@@ -459,11 +446,6 @@ def lang_partition(a: Automaton) -> tuple[int, ...]:
     return tuple(out)
 
 
-def state_lang_equiv(a: Automaton, q1: int, q2: int) -> bool:
-    part = lang_partition(a)
-    return part[q1] == part[q2]
-
-
 # --------------------------------------------------- probabilistic automata
 
 @dataclass(frozen=True)
@@ -521,124 +503,18 @@ class ProbAutomaton:
 def pa_lasso_prob(pa: ProbAutomaton, w: LassoWord) -> Fraction:
     """Exact acceptance probability of a lasso word.
 
-    The word induces a finite Markov chain on (state, position); runs end up
-    in its bottom components, each of which is accepting iff it contains a
-    marked transition.  Transient values are solved exactly, exploiting the
-    layered position structure so the linear system stays one-layer sized.
+    The word induces a finite Markov chain on the reachable (state,
+    position) nodes; runs end up in its bottom components, each of which is
+    accepting iff it contains a marked transition (`exact.chain_accept`).
     """
-    p_len = len(w.prefix)
-    start = (pa.initial, 0)
     reach = _lasso_reach(pa, w, lambda q, letter: [s for s, _ in pa.dist(q, letter)])
 
-    def succ_full(nd):
+    def row(nd):
         q, pos = nd
         np = w.next_pos(pos)
-        for s, _ in pa.dist(q, w.letter_at(pos)):
-            yield (s, np)
+        return [((s, np), p) for s, p in pa.dist(q, w.letter_at(pos))]
 
-    comps = strongly_connected_components(reach, succ_full)
-    comp_of = component_of(comps)
-    absorbed: dict = {}
-    for cid, comp in enumerate(comps):
-        bottom = True
-        good = False
-        for nd in comp:
-            q, pos = nd
-            letter = w.letter_at(pos)
-            np = w.next_pos(pos)
-            for s, _ in pa.dist(q, letter):
-                if comp_of[(s, np)] != cid:
-                    bottom = False
-                    break
-                if (q, letter, s) in pa.marked:
-                    good = True
-            if not bottom:
-                break
-        if bottom:
-            val = Fraction(1) if good else Fraction(0)
-            for nd in comp:
-                absorbed[nd] = val
+    def hot(nd, nd2):
+        return (nd[0], w.letter_at(nd[1]), nd2[0]) in pa.marked
 
-    if start in absorbed:
-        return absorbed[start]
-
-    # affine propagation around the cycle layers: unknowns are the transient
-    # nodes at the cut layer p_len
-    cut = sorted(
-        (q for q in pa.states() if (q, p_len) in reach and (q, p_len) not in absorbed)
-    )
-    u_index = {q: i for i, q in enumerate(cut)}
-    nu = len(cut)
-    zero = Fraction(0)
-
-    def affine_at(pos, nxt_layer):
-        # value of every reachable node at `pos` as (coeffs over cut, const)
-        layer = {}
-        letter = w.letter_at(pos)
-        for q in pa.states():
-            nd = (q, pos)
-            if nd not in reach:
-                continue
-            if nd in absorbed:
-                layer[q] = ([zero] * nu, absorbed[nd])
-                continue
-            coeffs = [zero] * nu
-            const = zero
-            for s, pr in pa.dist(q, letter):
-                scoef, sconst = nxt_layer[s]
-                const += pr * sconst
-                for k in range(nu):
-                    if scoef[k] != 0:
-                        coeffs[k] += pr * scoef[k]
-            layer[q] = (coeffs, const)
-        return layer
-
-    base = {}
-    for q in pa.states():
-        nd = (q, p_len)
-        if nd not in reach:
-            continue
-        if nd in absorbed:
-            base[q] = ([zero] * nu, absorbed[nd])
-        else:
-            unit = [zero] * nu
-            unit[u_index[q]] = Fraction(1)
-            base[q] = (unit, zero)
-
-    layer = base
-    for pos in range(w.total - 1, p_len - 1, -1):
-        layer = affine_at(pos, layer)
-    # closing the loop: value at the cut equals its one-lap propagation
-    if nu:
-        mat = [[zero] * nu for _ in range(nu)]
-        rhs = [zero] * nu
-        for q in cut:
-            coeffs, const = layer[q]
-            i = u_index[q]
-            for k in range(nu):
-                mat[i][k] = (Fraction(1) if i == k else zero) - coeffs[k]
-            rhs[i] = const
-        xs = solve_linear(mat, rhs)
-    else:
-        xs = []
-    values = {(q, p_len): xs[u_index[q]] for q in cut}
-    for q in pa.states():
-        nd = (q, p_len)
-        if nd in reach and nd in absorbed:
-            values[nd] = absorbed[nd]
-
-    for pos in range(p_len - 1, -1, -1):
-        letter = w.letter_at(pos)
-        np = w.next_pos(pos)
-        for q in pa.states():
-            nd = (q, pos)
-            if nd not in reach:
-                continue
-            if nd in absorbed:
-                values[nd] = absorbed[nd]
-            else:
-                values[nd] = sum(
-                    (pr * values[(s, np)] for s, pr in pa.dist(q, letter)),
-                    zero,
-                )
-    return values[start]
+    return chain_accept(reach, row, hot)[(pa.initial, 0)]

@@ -102,7 +102,7 @@ def _cmd_ltl2gfm_gf(args) -> int:
 
 def _cmd_redux(args) -> int:
     a = from_hoa(_read(args.infile))
-    result = redux(a, validate=not args.no_validate)
+    result = redux(a)
     if args.out:
         _write_json(args.out, pa_to_json(result.pa))
     if args.dba_out:
@@ -409,8 +409,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--dba-out", dest="dba_out", help="indexed DBA HOA")
     p.add_argument("--min-out", dest="min_out", help="minimised co-Buchi HOA")
     p.add_argument("--report", help="stage report JSON")
-    p.add_argument("--no-validate", action="store_true",
-                   help="skip the final equivalence assertion")
     p.set_defaults(func=_cmd_redux)
 
     for name, helptext in (

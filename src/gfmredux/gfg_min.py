@@ -197,15 +197,15 @@ def _equiv_dcw(a: Automaton, b: Automaton) -> LassoWord | None:
     return dcw_counterexample(b, a)
 
 
-def minimize(d: Automaton, validate: bool = True) -> Automaton:
+def minimize(d: Automaton) -> Automaton:
     """Reduce a deterministic complete co-Buchi automaton, preserving its
     language exactly.
 
     The output is deterministic and complete over the same alphabet and
     never larger than the (reachable part of the) input.  Its meta carries
-    `lang_class`, the language-class id of each output state.  `validate`
-    adds a final equivalence assertion; the per-merge checks that guarantee
-    correctness run regardless.
+    `lang_class`, the language-class id of each output state.  A final
+    equivalence check against the input backs up the per-merge checks that
+    guarantee correctness.
     """
     _require_dcw_complete(d, "minimize")
     original = prune_unreachable(d)
@@ -241,10 +241,9 @@ def minimize(d: Automaton, validate: bool = True) -> Automaton:
 
     part = lang_partition(cur)
     cur = dataclasses.replace(cur, meta={"lang_class": part})
-    if validate:
-        ce = _equiv_dcw(cur, original)
-        if ce is not None:  # pragma: no cover - every merge was checked
-            raise MinimizeError(f"minimisation changed the language: {ce}", ce)
+    ce = _equiv_dcw(cur, original)
+    if ce is not None:  # pragma: no cover - every merge was checked
+        raise MinimizeError(f"minimisation changed the language: {ce}", ce)
     return cur
 
 

@@ -20,7 +20,7 @@ from .automata import (
     ProbAutomaton,
     complete,
 )
-from .exact import solve_linear
+from .exact import chain_accept, chain_reach
 from .graph import component_of, coreach, strongly_connected_components
 
 _VI_TOL = 1e-10
@@ -114,10 +114,17 @@ def _frac(text) -> Fraction:
         raise MdpError(f"bad probability {text!r}: {exc}") from None
 
 
+def _state_id(value) -> int:
+    # JSON integers only: int() would truncate 0.7 to 0, and bool is an int
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"state id {value!r} is not an integer")
+    return value
+
+
 def mdp_from_json(data: dict) -> Mdp:
     try:
         atoms = AtomSet(tuple(data["atoms"]))
-        initial = int(data["initial"])
+        initial = _state_id(data["initial"])
         raw_states = list(data["states"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MdpError(f"malformed MDP document: {exc}") from None
@@ -125,13 +132,16 @@ def mdp_from_json(data: dict) -> Mdp:
     names, trans, labels = [], [], []
     for q, entry in enumerate(raw_states):
         try:
+            label = entry.get("label", [])
+            if not isinstance(label, list):
+                raise TypeError(f"label {label!r} is not a list of atom names")
             mask = 0
-            for nm in entry.get("label", []):
+            for nm in label:
                 mask |= 1 << atoms.index(nm)
             row_names, row_dists = [], []
             for act in entry["actions"]:
                 row_names.append(str(act["name"]))
-                pairs = sorted((int(s), _frac(p)) for s, p in act["to"])
+                pairs = sorted((_state_id(s), _frac(p)) for s, p in act["to"])
                 row_dists.append(tuple(pairs))
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise MdpError(
@@ -429,52 +439,6 @@ def _prob1(m: Mdp, goal: frozenset[int]) -> frozenset[int]:
         universe = inside
 
 
-def _chain_reach(row, nodes, ones) -> dict:
-    """Probability that a Markov chain reaches `ones`, exactly.
-
-    `row(q)` lists the (successor, probability) pairs of node q; a
-    successor that is neither a node nor in `ones` has value 0.  Nodes that
-    cannot reach `ones` get 0.  The rest are solved one strongly connected
-    component at a time in reverse topological order (Dai, Mausam, Weld &
-    Goldsmith, JAIR 2011), so each component only reads values already
-    known: a single state by the closed form, a larger component by one
-    sparse linear solve over its own states.  Returns the values of the
-    nodes and of `ones` (all 1).
-    """
-    rows = {q: row(q) for q in nodes}
-    value = dict.fromkeys(nodes, Fraction(0))
-    value.update(dict.fromkeys(ones, Fraction(1)))
-    reach = coreach(
-        value, lambda q: [s for s, _ in rows[q]] if q in rows else (), ones
-    )
-    live = [q for q in rows if q in reach]
-    for comp in strongly_connected_components(
-        live, lambda q: [s for s, _ in rows[q] if s in rows and s in reach]
-    ):
-        if len(comp) == 1:
-            q = comp[0]
-            loop = acc = Fraction(0)
-            for s, p in rows[q]:
-                if s == q:
-                    loop = p
-                elif value.get(s):
-                    acc += p * value[s]
-            value[q] = acc / (1 - loop) if loop else acc
-            continue
-        pos = {q: i for i, q in enumerate(comp)}
-        a = [{i: Fraction(1)} for i in range(len(comp))]
-        b = [Fraction(0)] * len(comp)
-        for q, i in pos.items():
-            for s, p in rows[q]:
-                if s in pos:
-                    a[i][pos[s]] = a[i].get(pos[s], 0) - p
-                elif value.get(s):
-                    b[i] += p * value[s]
-        for q, x in zip(comp, solve_linear(a, b)):
-            value[q] = x
-    return value
-
-
 def _float_model(m: Mdp, interior: list[int], sure: frozenset[int]):
     """The interior's actions, converted to floats once.
 
@@ -623,7 +587,7 @@ def max_reach(m: Mdp, goal: frozenset[int], exact: bool = True) -> ValueVector:
     bounds once they are within _VI_TOL of each other, and raises MdpError
     if that takes more than _VI_CAP sweeps.  Exact mode uses the bounds
     only to pick the first policy of a policy iteration over fractions:
-    each policy is evaluated exactly by `_chain_reach`, and an exact
+    each policy is evaluated exactly by `exact.chain_reach`, and an exact
     improvement sweep that switches nothing proves it optimal.
     """
     goal = frozenset(goal)
@@ -653,7 +617,7 @@ def max_reach(m: Mdp, goal: frozenset[int], exact: bool = True) -> ValueVector:
         mid, _, _ = _interval_iteration(rows, _SEED_TOL, _SEED_CAP)
         policy = _seed_policy(m, interior, sure, rows, mid)
         for _ in range(100_000):
-            current = _chain_reach(
+            current = chain_reach(
                 lambda q: m.dist(q, policy[q]), interior, sure
             )
             # An action beats q's value only if its float-model value does
@@ -813,20 +777,8 @@ def induce_mc(prod: ProductMdp, strategy: Strategy) -> Fraction:
             raise MdpError(f"strategy at state {q} is not a distribution")
         edges.append(row)
 
-    comps = strongly_connected_components(
-        list(m.states()), lambda q: sorted(edges[q])
-    )
-    comp_of = component_of(comps)
-    bottom = {
-        ci for ci, comp in enumerate(comps)
-        if all(comp_of[s] == ci for q in comp for s in edges[q])
-    }
-    hot_bottom = {comp_of[q] for q, s in hot if comp_of[q] == comp_of[s]} & bottom
-    winning = {q for ci in hot_bottom for q in comps[ci]}
-    value = _chain_reach(
-        lambda q: edges[q].items(),
-        [q for q in m.states() if q not in winning],
-        winning,
+    value = chain_accept(
+        m.states(), lambda q: edges[q].items(), lambda q, s: (q, s) in hot
     )
     return value[m.initial]
 

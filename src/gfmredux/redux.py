@@ -135,7 +135,7 @@ class ReduxResult(NamedTuple):
     report: ReduxReport
 
 
-def redux(a: Automaton, validate: bool = True) -> ReduxResult:
+def redux(a: Automaton) -> ReduxResult:
     """Run the four-step pipeline on a Buchi automaton the caller asserts
     to be good for MDPs.  Returns the 0/1 probabilistic automaton, the
     intermediate indexed deterministic Buchi automaton, and a stage report.
@@ -160,7 +160,7 @@ def redux(a: Automaton, validate: bool = True) -> ReduxResult:
     record("dca", dca, t0)
 
     t0 = time.perf_counter()
-    small = minimize(dca, validate=validate)
+    small = minimize(dca)
     record("minimized", small, t0)
 
     t0 = time.perf_counter()

@@ -3,8 +3,10 @@
 Everything here is written from the definitions, on purpose avoiding the
 package's own derivative/product machinery: truth of an LTL formula on a
 lasso word by fixpoint iteration over its positions, end components by
-subset enumeration, and reachability values by enumerating memoryless
-deterministic policies and solving each induced chain.
+subset enumeration, reachability values by enumerating memoryless
+deterministic policies and solving each induced chain, and acceptance
+probabilities of probabilistic automata on lasso words from pairwise
+reachability in the chain the word induces.
 """
 
 from fractions import Fraction
@@ -212,6 +214,60 @@ def _policy_reach(m, goal, policy):
     for q in live:
         vals[q] = sol[pos[q]]
     return vals
+
+
+# ------------------------ acceptance probability of a PA on a lasso word
+
+def brute_pa_lasso_prob(pa, w):
+    """Probability that a probabilistic Buchi automaton accepts the word
+    w.prefix . w.cycle^omega.  The word turns the automaton into a Markov
+    chain on (state, position) nodes.  A run ends in a bottom SCC almost
+    surely and then takes each of its edges infinitely often, so it is
+    accepted iff that SCC holds a marked edge.  A node lies in a bottom SCC
+    iff every node it reaches reaches it back; the probability of reaching
+    the accepting ones solves one linear system."""
+    letters = list(w.prefix) + list(w.cycle)
+
+    def step(node):
+        q, i = node
+        j = i + 1 if i + 1 < len(letters) else len(w.prefix)
+        return [((s, j), p) for s, p in pa.transitions[q][letters[i]]]
+
+    def reach_from(node):
+        seen = {node}
+        todo = [node]
+        while todo:
+            for nxt, _ in step(todo.pop()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    start = (pa.initial, 0)
+    nodes = sorted(reach_from(start))
+    reach = {u: reach_from(u) for u in nodes}
+    winning = {
+        u for u in nodes
+        if all(u in reach[v] for v in reach[u])
+        and any((q, letters[i], s) in pa.marked
+                for q, i in reach[u] for (s, _), _ in step((q, i)))
+    }
+    live = [u for u in nodes if u not in winning and reach[u] & winning]
+    if start in winning or start not in live:
+        return Fraction(int(start in winning))
+    pos = {u: i for i, u in enumerate(live)}
+    k = len(live)
+    rows = []
+    for u in live:
+        row = [Fraction(0)] * (k + 1)
+        row[pos[u]] = Fraction(1)
+        for v, p in step(u):
+            if v in winning:
+                row[k] += p
+            elif v in pos:
+                row[pos[v]] -= p
+        rows.append(row)
+    return _gauss(rows, k)[pos[start]]
 
 
 def _gauss(rows, k):

@@ -11,17 +11,16 @@ from gfmredux.automata import (
     ProbAutomaton,
     build_automaton,
     complete,
-    dcw_contained,
     dcw_counterexample,
     lang_partition,
     lasso_member,
     pa_lasso_prob,
     prune_unreachable,
-    state_lang_equiv,
     strongly_connected_components,
 )
 from gfmredux.graph import closure, component_of, coreach
 from gfmredux.ltl import atoms_named
+from oracles import brute_pa_lasso_prob
 
 AL1 = Alphabet(atoms_named("a"), 1)   # letters: 0 = {}, 1 = {a}
 
@@ -203,12 +202,12 @@ def dcw_never_a():
 
 def test_dcw_containment():
     fin, never = dcw_fin_a(), dcw_never_a()
-    assert dcw_contained(never, fin)
+    assert dcw_counterexample(never, fin) is None
     ce = dcw_counterexample(fin, never)
     assert ce is not None
     # the witness really separates the languages
     assert lasso_member(fin, ce) and not lasso_member(never, ce)
-    assert dcw_contained(fin, fin)
+    assert dcw_counterexample(fin, fin) is None
 
 
 def test_dcw_counterexample_validates_inputs():
@@ -235,8 +234,6 @@ def test_lang_partition_merges_equivalent_states():
     part = lang_partition(a)
     assert part[1] == part[2]
     assert len({part[0], part[1], part[3]}) == 3
-    assert state_lang_equiv(a, 1, 2)
-    assert not state_lang_equiv(a, 0, 1)
 
 
 def test_pa_validation():
@@ -265,10 +262,68 @@ def test_pa_lasso_prob_mixes():
         ),
         marked=frozenset({(0, 1, 0)}),
     )
-    assert pa_lasso_prob(pa, LassoWord((), (1,))) == Fraction(1, 2) * 0 + 0
     # staying forever has probability lim (1/2)^n = 0, so acceptance is 0
     assert pa_lasso_prob(pa, LassoWord((), (1,))) == 0
     assert pa_lasso_prob(pa, LassoWord((), (0,))) == 0
+    # on a: 0 and 1 swap w.p. 1/2; otherwise 0 falls to the rejecting sink 3
+    # and 1 to the accepting sink 2.  x0 = x1/2, x1 = x0/2 + 1/2: the
+    # transient component {0, 1} needs one linear solve and x0 = 1/3.
+    # Letter {} keeps every state where it is.
+    one, half = Fraction(1), Fraction(1, 2)
+    pa = ProbAutomaton(
+        AL1, 0,
+        (
+            (((0, one),), ((1, half), (3, half))),
+            (((1, one),), ((0, half), (2, half))),
+            (((2, one),), ((2, one),)),
+            (((3, one),), ((3, one),)),
+        ),
+        marked=frozenset({(2, 0, 2), (2, 1, 2)}),
+    )
+    assert pa_lasso_prob(pa, LassoWord((), (1,))) == Fraction(1, 3)
+    # a a from 0: at 0 or 2 w.p. 1/4 each, then {} forever keeps them there
+    assert pa_lasso_prob(pa, LassoWord((1, 1), (0,))) == Fraction(1, 4)
+    # alternating a with {} stretches the component over both positions
+    assert pa_lasso_prob(pa, LassoWord((), (1, 0))) == Fraction(1, 3)
+    assert pa_lasso_prob(pa, LassoWord((1,), (0,))) == 0
+
+
+def _random_pa(rng):
+    n = rng.randint(2, 6)
+    transitions, marked = [], set()
+    # sinks give the chains several bottom components, so values strictly
+    # between 0 and 1 occur
+    sinks = {q for q in range(n) if rng.random() < 0.4}
+    for q in range(n):
+        row = []
+        for letter in AL1.letters():
+            succs = (
+                [q] if q in sinks
+                else sorted(rng.sample(range(n), rng.randint(1, min(3, n))))
+            )
+            weights = [rng.randint(1, 4) for _ in succs]
+            row.append(tuple(
+                (s, Fraction(wt, sum(weights))) for s, wt in zip(succs, weights)
+            ))
+            marked.update((q, letter, s) for s in succs if rng.random() < 0.4)
+        transitions.append(tuple(row))
+    return ProbAutomaton(AL1, rng.randrange(n), tuple(transitions), frozenset(marked))
+
+
+def test_pa_lasso_prob_against_oracle():
+    rng = random.Random(2024)
+    fractional = 0
+    for _ in range(300):
+        pa = _random_pa(rng)
+        for _ in range(5):
+            w = LassoWord(
+                tuple(rng.randrange(2) for _ in range(rng.randint(0, 3))),
+                tuple(rng.randrange(2) for _ in range(rng.randint(1, 3))),
+            )
+            p = pa_lasso_prob(pa, w)
+            assert p == brute_pa_lasso_prob(pa, w), (pa, w)
+            fractional += 0 < p < 1
+    assert fractional >= 100
 
 
 def test_pa_lasso_prob_zero_one_on_deterministic_rows():

@@ -186,7 +186,7 @@ def test_check_equiv_alphabet_mismatch(fixture_file, capsys):
 
 @pytest.mark.parametrize("case", [
     "redux-bad-states", "check-equiv-bad-states", "solve-missing-mdp",
-    "solve-action-without-name", "bench-grid-without-cases",
+    "solve-action-without-name", "solve-fractional-initial", "bench-grid-without-cases",
     "bench-case-without-formula-or-family", "bench-formula-does-not-parse",
     "bench-formula-not-gf",
 ])
@@ -203,6 +203,10 @@ def test_bad_input_reports_error_without_traceback(
     del doc["states"][0]["actions"][0]["name"]
     nameless = tmp_path / "nameless.json"
     nameless.write_text(json.dumps(doc), encoding="utf-8")
+    doc = json.loads(fixture_text("coinflip_mdp.json"))
+    doc["initial"] = 0.9
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps(doc), encoding="utf-8")
     no_cases, no_source = tmp_path / "no_cases.json", tmp_path / "no_source.json"
     no_cases.write_text(json.dumps({"nocases": 1}), encoding="utf-8")
     no_source.write_text(json.dumps({"cases": [{"params": [3]}]}), encoding="utf-8")
@@ -217,6 +221,8 @@ def test_bad_input_reports_error_without_traceback(
                               "--formula", "GF a"],
         "solve-action-without-name": ["solve", "--mdp", str(nameless),
                                       "--formula", "GF b"],
+        "solve-fractional-initial": ["solve", "--mdp", str(fractional),
+                                     "--formula", "GF b"],
         "bench-grid-without-cases": ["bench", "--grid", str(no_cases)],
         "bench-case-without-formula-or-family": ["bench", "--grid", str(no_source)],
         "bench-formula-does-not-parse": ["bench", "--grid", str(unparsed)],

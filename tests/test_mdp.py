@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,24 @@ def test_mdp_json_malformed_entries_raise_mdp_error(coin, spoil):
     doc = json.loads(json.dumps(mdp_to_json(coin)))
     spoil(doc)
     with pytest.raises(MdpError, match="malformed MDP"):
+        mdp_from_json(doc)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda d: d.update(initial=0.9), "state id 0.9 is not an integer"),
+    (lambda d: d.update(initial=True), "state id True is not an integer"),
+    (lambda d: d["states"][0]["actions"][0]["to"][0].__setitem__(0, 0.7),
+     "state id 0.7 is not an integer"),
+    (lambda d: d["states"][0]["actions"][0]["to"][0].__setitem__(0, True),
+     "state id True is not an integer"),
+    (lambda d: d["states"][0]["actions"][0]["to"][0].__setitem__(0, "1"),
+     "state id '1' is not an integer"),
+    (lambda d: d["states"][0].update(label="ab"), "label 'ab' is not a list"),
+])
+def test_mdp_json_rejects_non_integer_ids_and_string_labels(coin, spoil, message):
+    doc = json.loads(json.dumps(mdp_to_json(coin)))
+    spoil(doc)
+    with pytest.raises(MdpError, match=f"malformed MDP.*{re.escape(message)}"):
         mdp_from_json(doc)
 
 

@@ -10,6 +10,7 @@ from gfmredux.automata import (
     lasso_member,
     pa_lasso_prob,
 )
+from gfmredux import gfg_min
 from gfmredux.hoa import from_hoa
 from gfmredux.redux import dba_to_dca, gfm_to_dba, nca_to_pa, pa_from_json, pa_to_json, redux
 
@@ -120,6 +121,17 @@ def test_pa_from_json_checks_row_count(fixture_text):
         pa_from_json(doc)
 
 
-def test_redux_without_validation(fixture_text):
-    res = redux(from_hoa(fixture_text("commit_blind.hoa")), validate=False)
+def test_redux_always_checks_final_equivalence(fixture_text, monkeypatch):
+    checked = []
+    real = gfg_min._equiv_dcw
+
+    def spy(a, b):
+        checked.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(gfg_min, "_equiv_dcw", spy)
+    res = redux(from_hoa(fixture_text("commit_blind.hoa")))
     assert res.report.minimized.n_states == 4
+    # the last check compares the finished automaton with the input
+    assert checked[-1].transitions == res.report.minimized.transitions
+    assert checked[-1].meta == {"lang_class": res.report.minimized.meta["lang_class"]}

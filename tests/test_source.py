@@ -25,6 +25,60 @@ def unused_imports(tree: ast.Module) -> list[str]:
             if name not in read]
 
 
+def dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level private names (`_x`) that nothing in the package reads.
+
+    A read inside the definition's own statement (recursion) does not count.
+    """
+    defined: dict[tuple[str, str], tuple[int, int]] = {}
+    readers: dict[str, set] = {}
+    for mod, tree in trees.items():
+        for index, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[mod, name] = index, stmt.lineno
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    readers.setdefault(node.id, set()).add((mod, index))
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add((mod, index))
+                elif isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        readers.setdefault(alias.name, set()).add((mod, index))
+    dead = []
+    for (mod, name), (index, line) in defined.items():
+        if not readers.get(name, set()) - {(mod, index)}:
+            dead.append(f"{mod}.{name} (line {line})")
+    return dead
+
+
+def test_dead_private_names_scan_finds_them():
+    trees = {
+        "a": ast.parse("_LIMIT = 3\n_used = 1\n\ndef _loop(n):\n"
+                       "    return _loop(n - 1)\n"),
+        "b": ast.parse("from a import _used\n\ndef _chain_reach():\n"
+                       "    pass\n"),
+    }
+    assert dead_private_names(trees) == [
+        "a._LIMIT (line 1)", "a._loop (line 4)", "b._chain_reach (line 3)",
+    ]
+
+
+def test_no_dead_private_names_in_package():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert dead_private_names(trees) == []
+
+
 def test_unused_imports_scan_finds_them():
     tree = ast.parse("from __future__ import annotations\n"
                      "import os.path\nfrom re import A, B as C\nprint(B, C)\n")
