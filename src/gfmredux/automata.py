@@ -5,13 +5,20 @@ plus an optional transition index used by the indexed-alphabet pipeline).
 Acceptance lives on transitions: `marked` holds (state, letter, successor)
 triples.  kind is "buchi" (visit marks infinitely often), "cobuchi"
 (eventually avoid marks forever), or "finite" (NFA with final_states).
+The pair products behind language inclusion and language classes read each
+automaton through integer tables over its letter classes (letters with the
+same successors and marks from every state, one representative each) and
+number a pair (p, q) as the integer p * n2 + q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
+from operator import add
+from typing import NamedTuple
 
 from .exact import chain_accept
 from .graph import closure, component_of, coreach, strongly_connected_components
@@ -22,6 +29,22 @@ KINDS = ("buchi", "cobuchi", "finite")
 
 class AutomatonError(ValueError):
     pass
+
+
+def _state_id(value) -> int:
+    """A state id read from JSON: integers only, since int() would truncate
+    0.7 to 0, and bool is an int."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"state id {value!r} is not an integer")
+    return value
+
+
+def _probability(text) -> Fraction:
+    """A probability read from JSON: a number or a string such as "1/3"."""
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad probability {text!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -83,6 +106,19 @@ class LassoWord:
         return pos + 1 if pos + 1 < self.total else len(self.prefix)
 
 
+class _LetterTables(NamedTuple):
+    """An automaton's moves over its letter classes: two letters share a
+    class when, from every state, they have the same successors and the same
+    marks, so one representative letter per class is enough."""
+
+    letter_class: tuple[int, ...]  # the class of each letter
+    members: tuple[tuple[int, ...], ...]  # the letters of each class
+    succ: tuple  # succ[q][c]: the successors of q on class c
+    safe: tuple  # safe[q][c]: those reached by unmarked moves
+    det: tuple | None  # det[q][c]: the one successor, if deterministic and complete
+    unsafe: tuple[int, ...]  # unsafe[q]: bitmask of the classes with a marked move
+
+
 @dataclass(frozen=True)
 class Automaton:
     alphabet: Alphabet
@@ -107,6 +143,8 @@ class Automaton:
                     f"state {q}: {len(row)} letter entries, alphabet has {size}"
                 )
             for succs in row:
+                if type(succs) is tuple and len(succs) == 1 and 0 <= succs[0] < n:
+                    continue  # one successor, in range
                 if tuple(sorted(set(succs))) != succs:
                     raise AutomatonError(f"state {q}: successors not sorted/unique")
                 for s in succs:
@@ -133,6 +171,40 @@ class Automaton:
 
     def is_marked(self, q: int, letter: int, s: int) -> bool:
         return (q, letter, s) in self.marked
+
+    @cached_property
+    def _tables(self) -> _LetterTables:
+        """Integer tables over the letter classes, read from `transitions`
+        and `marked` once per automaton."""
+        hot = [[] for _ in self.alphabet.letters()]
+        for q, x, s in self.marked:
+            hot[x].append((q, s))
+        class_of: dict = {}
+        letter_class, members, succ_cols, safe_cols = [], [], [], []
+        unsafe = [0] * self.n_states
+        for x, column in enumerate(zip(*self.transitions)):
+            c = class_of.setdefault((column, frozenset(hot[x])), len(members))
+            if c == len(members):
+                members.append([])
+                succ_cols.append(column)
+                safe = list(column)
+                for q, s in hot[x]:
+                    safe[q] = tuple(t for t in safe[q] if t != s)
+                    unsafe[q] |= 1 << c
+                safe_cols.append(safe)
+            members[c].append(x)
+            letter_class.append(c)
+        det = None
+        if set(map(len, chain.from_iterable(succ_cols))) == {1}:
+            det = tuple(zip(*([s for (s,) in col] for col in succ_cols)))
+        return _LetterTables(
+            tuple(letter_class),
+            tuple(map(tuple, members)),
+            tuple(zip(*succ_cols)),
+            tuple(zip(*safe_cols)),
+            det,
+            tuple(unsafe),
+        )
 
     @property
     def is_deterministic(self) -> bool:
@@ -289,58 +361,54 @@ def _require_dcw(a: Automaton, role: str):
 def dcw_counterexample(a1: Automaton, a2: Automaton) -> LassoWord | None:
     """A lasso in L(a1) \\ L(a2), or None if L(a1) is a subset of L(a2).
 
-    a1 may be nondeterministic; a2 must be deterministic and complete.
+    a1 may be nondeterministic; a2 must be deterministic and complete.  The
+    product reads one representative letter per class of letters that both
+    automata treat alike, so the lasso is written in representative letters.
     """
     _require_dcw(a1, "left automaton")
     _require_dcw(a2, "right automaton")
     if a1.alphabet != a2.alphabet:
         raise AutomatonError("alphabet mismatch")
-    if not (a2.is_deterministic and a2.is_complete):
+    t1, t2 = a1._tables, a2._tables
+    if t2.det is None:
         raise AutomatonError("right automaton must be deterministic and complete")
+    # each pair of classes, with the last of its letters as representative
+    joint = dict(zip(zip(t1.letter_class, t2.letter_class), a1.alphabet.letters()))
+    moves = [(x, c1, c2) for (c1, c2), x in joint.items()]
 
-    start = (a1.initial, a2.initial)
+    # product pair (p, q) is the integer p * n2 + q
+    n2 = a2.n_states
+    start = a1.initial * n2 + a2.initial
     parent: dict = {start: None}
-    queue = [start]
-    i = 0
-    while i < len(queue):
-        node = queue[i]
-        i += 1
-        p, q = node
-        for letter in a1.alphabet.letters():
-            q2 = a2.succ(q, letter)[0]
-            for p2 in a1.succ(p, letter):
-                nxt = (p2, q2)
-                if nxt not in parent:
-                    parent[nxt] = (node, letter)
-                    queue.append(nxt)
-
-    def succ_h(node):
-        p, q = node
-        for letter in a1.alphabet.letters():
-            q2 = a2.succ(q, letter)[0]
-            for p2 in a1.succ(p, letter):
-                if (p, letter, p2) not in a1.marked:
-                    yield (p2, q2)
-
-    comp_of = component_of(strongly_connected_components(parent, succ_h))
-
-    witness = None
-    for node in parent:
-        p, q = node
-        for letter in a1.alphabet.letters():
-            q2 = a2.succ(q, letter)[0]
-            for p2 in a1.succ(p, letter):
-                if (p, letter, p2) in a1.marked:
-                    continue
-                if (q, letter, q2) not in a2.marked:
-                    continue
-                if comp_of[(p2, q2)] == comp_of[node]:
-                    witness = (node, letter, (p2, q2))
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    order = [start]
+    safe_edges: dict = {}  # pair -> {successor: letter} over moves unmarked in a1
+    hot = []  # (pair, letter, successor): unmarked in a1, marked in a2
+    rows1: dict = {}  # a1 state -> [(letter, a2 class, successor * n2, unmarked)]
+    for u in order:
+        p, q = divmod(u, n2)
+        row = rows1.get(p)
+        if row is None:
+            succ1, safe1 = t1.succ[p], t1.safe[p]
+            row = rows1[p] = [
+                (x, c2, p2 * n2, p2 in safe1[c1])
+                for x, c1, c2 in moves
+                for p2 in succ1[c1]
+            ]
+        succ2, unsafe2 = t2.det[q], t2.unsafe[q]
+        out = safe_edges[u] = {}
+        for x, c2, base, unmarked in row:
+            v = base + succ2[c2]
+            if v not in parent:
+                parent[v] = (u, x)
+                order.append(v)
+            if unmarked:
+                out.setdefault(v, x)
+                if unsafe2 >> c2 & 1:
+                    hot.append((u, x, v))
+    if not hot:
+        return None
+    comp_of = component_of(strongly_connected_components(order, safe_edges.__getitem__))
+    witness = next(((u, x, v) for u, x, v in hot if comp_of[u] == comp_of[v]), None)
     if witness is None:
         return None
 
@@ -348,36 +416,26 @@ def dcw_counterexample(a1: Automaton, a2: Automaton) -> LassoWord | None:
     prefix = []
     node = u
     while parent[node] is not None:
-        node, letter = parent[node]
-        prefix.append(letter)
+        node, x = parent[node]
+        prefix.append(x)
     prefix.reverse()
 
-    # close the cycle v -> u inside the unmarked-component subgraph
+    # close the cycle v -> u inside the unmarked component
     cid = comp_of[u]
     back: dict = {v: None}
-    bq = [v]
-    i = 0
-    while v != u and i < len(bq):
-        node = bq[i]
-        i += 1
-        p, q = node
-        for letter in a1.alphabet.letters():
-            q2 = a2.succ(q, letter)[0]
-            for p2 in a1.succ(p, letter):
-                if (p, letter, p2) in a1.marked:
-                    continue
-                nxt = (p2, q2)
-                if comp_of.get(nxt) != cid or nxt in back:
-                    continue
-                back[nxt] = (node, letter)
-                bq.append(nxt)
+    queue = [v]
+    for node in queue:
         if u in back:
             break
+        for nxt, x in safe_edges[node].items():
+            if nxt not in back and comp_of[nxt] == cid:
+                back[nxt] = (node, x)
+                queue.append(nxt)
     cycle_tail = []
     node = u
     while back[node] is not None:
-        node, letter = back[node]
-        cycle_tail.append(letter)
+        node, x = back[node]
+        cycle_tail.append(x)
     cycle_tail.reverse()
     return LassoWord(tuple(prefix), (wl, *cycle_tail))
 
@@ -389,51 +447,37 @@ def lang_partition(a: Automaton) -> tuple[int, ...]:
     """Class ids (0-based, by lowest member state) of language-equivalent
     states of a deterministic complete co-Buchi automaton."""
     _require_dcw(a, "automaton")
-    if not (a.is_deterministic and a.is_complete):
+    t = a._tables
+    if t.det is None:
         raise AutomatonError("language classes need a deterministic complete automaton")
-    n = a.n_states
-    letters = list(a.alphabet.letters())
-    nodes = [(p, q) for p in range(n) for q in range(n)]
+    n, det, unsafe = a.n_states, t.det, t.unsafe
+    classes = range(len(t.members))
 
-    def succ_h(node):
-        p, q = node
-        for letter in letters:
-            p2 = a.succ(p, letter)[0]
-            if (p, letter, p2) not in a.marked:
-                yield (p2, a.succ(q, letter)[0])
-
-    comps = strongly_connected_components(nodes, succ_h)
+    # pair (p, q) is the integer p * n + q; `safe` keeps the moves unmarked
+    # from p, and `hot` those of them that are marked from q
+    full, safe, hot = [], [], []
+    for p in range(n):
+        sp = [s * n for s in det[p]]
+        free = [c for c in classes if not unsafe[p] >> c & 1]
+        for q, sq in enumerate(det):
+            full.append(set(map(add, sp, sq)))
+            safe.append({sp[c] + sq[c] for c in free})
+            if unsafe[q] & ~unsafe[p]:
+                u = p * n + q
+                hot.extend((u, sp[c] + sq[c]) for c in free if unsafe[q] >> c & 1)
+    comps = strongly_connected_components(range(n * n), safe.__getitem__)
     comp_of = component_of(comps)
-
-    witness_nodes = set()
-    for cid, comp in enumerate(comps):
-        hit = False
-        for (p, q) in comp:
-            for letter in letters:
-                p2 = a.succ(p, letter)[0]
-                if (p, letter, p2) in a.marked:
-                    continue
-                q2 = a.succ(q, letter)[0]
-                if (q, letter, q2) in a.marked and comp_of[(p2, q2)] == cid:
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
-            witness_nodes.update(comp)
+    # a witness node lies in a component that holds a hot move
+    witness = {comp_of[u] for u, v in hot if comp_of[u] == comp_of[v]}
+    witness_nodes = [u for cid in witness for u in comps[cid]]
 
     # L(p) not<= L(q) iff (p,q) reaches a witness node in the full product
-    rows = a.transitions
-    bad = coreach(
-        nodes,
-        lambda nd: [(rows[nd[0]][x][0], rows[nd[1]][x][0]) for x in letters],
-        witness_nodes,
-    )
+    bad = coreach(range(n * n), full.__getitem__, witness_nodes)
 
     rep = list(range(n))
     for p in range(n):
         for q in range(p):
-            if (p, q) not in bad and (q, p) not in bad:
+            if p * n + q not in bad and q * n + p not in bad:
                 rep[p] = rep[q]
                 break
     ids: dict[int, int] = {}
@@ -470,6 +514,8 @@ class ProbAutomaton:
             if len(row) != size:
                 raise AutomatonError(f"state {q}: wrong letter count")
             for dist in row:
+                if len(dist) == 1 and dist[0][1] == 1 and 0 <= dist[0][0] < n:
+                    continue  # one successor with probability 1
                 if not dist:
                     raise AutomatonError(f"state {q}: missing distribution")
                 total = Fraction(0)
@@ -486,7 +532,7 @@ class ProbAutomaton:
                 if total != 1:
                     raise AutomatonError(f"state {q}: probabilities sum to {total}")
         for (q, letter, s) in self.marked:
-            if s not in [t for t, _ in self.transitions[q][letter]]:
+            if all(t != s for t, _ in self.transitions[q][letter]):
                 raise AutomatonError(f"marked triple ({q},{letter},{s}) not a transition")
 
     @property

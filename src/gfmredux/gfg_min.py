@@ -8,13 +8,17 @@ their marks or conservatively marking them.  Each candidate rewrite is
 committed only after an exact equivalence check against the *original*
 automaton, so the result is correct by checking rather than by a fragile
 transition-rule argument; a rewrite that fails the check is simply skipped.
-Everything stays deterministic, which keeps all checks polynomial.
+Everything stays deterministic, which keeps all checks polynomial.  Language
+classes, safe containment and the equivalence checks are integer pair
+products over letter classes (see `automata`), so an indexed alphabet costs
+one letter per class of letters that act alike, not one per index.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
+from itertools import chain
 
 from .automata import (
     Alphabet,
@@ -38,7 +42,7 @@ class MinimizeError(AutomatonError):
 def _require_dcw_complete(d: Automaton, who: str):
     if d.kind != "cobuchi":
         raise AutomatonError(f"{who} needs a co-Buchi automaton, got {d.kind}")
-    if not (d.is_deterministic and d.is_complete):
+    if d._tables.det is None:
         raise AutomatonError(f"{who} needs a deterministic complete automaton")
 
 
@@ -47,17 +51,12 @@ def _require_dcw_complete(d: Automaton, who: str):
 def alive_states(d: Automaton) -> frozenset[int]:
     """States with an infinite unmarked run, i.e. that reach an unmarked
     cycle through unmarked edges."""
-    def succ_u(q):
-        for letter in d.alphabet.letters():
-            for s in d.succ(q, letter):
-                if (q, letter, s) not in d.marked:
-                    yield s
-
-    comp_of = component_of(strongly_connected_components(list(d.states()), succ_u))
+    succ_u = [set(chain.from_iterable(row)) for row in d._tables.safe]
+    comp_of = component_of(strongly_connected_components(d.states(), succ_u.__getitem__))
     on_cycle = [
-        q for q in d.states() if any(comp_of[s] == comp_of[q] for s in succ_u(q))
+        q for q in d.states() if any(comp_of[s] == comp_of[q] for s in succ_u[q])
     ]
-    return frozenset(coreach(d.states(), succ_u, on_cycle))
+    return frozenset(coreach(d.states(), succ_u.__getitem__, on_cycle))
 
 
 def normalize_safety(d: Automaton) -> Automaton:
@@ -67,45 +66,44 @@ def normalize_safety(d: Automaton) -> Automaton:
     change no acceptance; they make safe languages honest before comparing.
     """
     alive = alive_states(d)
+    members = d._tables.members
     extra = set()
-    for q in d.states():
-        for letter in d.alphabet.letters():
-            for s in d.succ(q, letter):
-                if (q, letter, s) not in d.marked and s not in alive:
-                    extra.add((q, letter, s))
+    for q, row in enumerate(d._tables.safe):
+        for c, succs in enumerate(row):
+            for s in succs:
+                if s not in alive:
+                    extra.update((q, x, s) for x in members[c])
     if not extra:
         return d
     return dataclasses.replace(d, marked=d.marked | extra)
 
 
 @lru_cache(maxsize=256)
-def _safe_noncontainment(d: Automaton) -> frozenset[tuple[int, int]]:
-    """Pairs (p, q) such that safe(p) is not a subset of safe(q)."""
-    letters = list(d.alphabet.letters())
-    n = d.n_states
-    rows = d.transitions
-    nodes = [(p, q) for p in range(n) for q in range(n)]
-    both_safe: dict = {}
+def _safe_noncontainment(d: Automaton) -> frozenset[int]:
+    """Pairs (p, q), as the integers p * n + q, such that safe(p) is not a
+    subset of safe(q)."""
+    t = d._tables
+    n, det, unsafe = d.n_states, t.det, t.unsafe
+    classes = range(len(t.members))
+    both_safe = []
     bad = []  # pairs with a letter safe from p but not from q
-    for (p, q) in nodes:
-        nxt = both_safe[(p, q)] = []
-        for letter in letters:
-            p2 = rows[p][letter][0]
-            if (p, letter, p2) in d.marked:
-                continue
-            q2 = rows[q][letter][0]
-            if (q, letter, q2) in d.marked:
-                bad.append((p, q))
+    for p in range(n):
+        sp = [s * n for s in det[p]]
+        free = [c for c in classes if not unsafe[p] >> c & 1]
+        for q, sq in enumerate(det):
+            if unsafe[q] & ~unsafe[p]:
+                bad.append(p * n + q)
+                both_safe.append(())
             else:
-                nxt.append((p2, q2))
+                both_safe.append({sp[c] + sq[c] for c in free})
     # and every pair that reaches one along words safe from both
-    return frozenset(coreach(nodes, both_safe.__getitem__, bad))
+    return frozenset(coreach(range(n * n), both_safe.__getitem__, bad))
 
 
 def safe_contained(d: Automaton, p: int, q: int) -> bool:
     """Is every finite word that is safe from p also safe from q?"""
     _require_dcw_complete(d, "safe_contained")
-    return (p, q) not in _safe_noncontainment(d)
+    return p * d.n_states + q not in _safe_noncontainment(d)
 
 
 # ----------------------------------------------------------- determinisation
@@ -173,20 +171,19 @@ def _redirect(d: Automaton, gone: int, target: int, keep_marks: bool) -> Automat
     unless keep_marks preserves the original flag), then prune."""
     keep = [q for q in d.states() if q != gone]
     new_id = {q: i for i, q in enumerate(keep)}
-
-    def land(s: int) -> int:
-        return new_id[target if s == gone else s]
-
-    edges = []
-    for q in keep:
-        for letter in d.alphabet.letters():
-            s = d.succ(q, letter)[0]
-            marked = (q, letter, s) in d.marked
-            if s == gone and not keep_marks:
-                marked = True
-            edges.append((new_id[q], letter, land(s), marked))
-    initial = new_id[target if d.initial == gone else d.initial]
-    cand = build_automaton(d.alphabet, len(keep), initial, "cobuchi", edges)
+    new_id[gone] = new_id[target]
+    trans = tuple(
+        tuple((new_id[s],) for (s,) in d.transitions[q]) for q in keep
+    )
+    marked = {(new_id[q], x, new_id[s]) for (q, x, s) in d.marked if q != gone}
+    if not keep_marks:
+        marked.update(
+            (new_id[q], x, new_id[target])
+            for q in keep
+            for x, (s,) in enumerate(d.transitions[q])
+            if s == gone
+        )
+    cand = Automaton(d.alphabet, "cobuchi", new_id[d.initial], trans, frozenset(marked))
     return prune_unreachable(cand)
 
 
@@ -218,13 +215,14 @@ def minimize(d: Automaton) -> Automaton:
             break
         part = lang_partition(cur)
         noncont = _safe_noncontainment(cur)
+        n = cur.n_states
         for q in cur.states():
             # same-class states whose safe language covers q's, equal first
             equal, strict = [], []
             for p in cur.states():
-                if p == q or part[p] != part[q] or (q, p) in noncont:
+                if p == q or part[p] != part[q] or q * n + p in noncont:
                     continue
-                (equal if (p, q) not in noncont else strict).append(p)
+                (equal if p * n + q not in noncont else strict).append(p)
             committed = False
             for target in (equal + strict)[:_MAX_TARGETS]:
                 for keep_marks in (True, False):

@@ -18,6 +18,8 @@ from .automata import (
     AtomSet,
     Automaton,
     ProbAutomaton,
+    _probability,
+    _state_id,
     complete,
 )
 from .exact import chain_accept, chain_reach
@@ -107,20 +109,6 @@ class Mdp:
 
 # ------------------------------------------------------------------- JSON
 
-def _frac(text) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MdpError(f"bad probability {text!r}: {exc}") from None
-
-
-def _state_id(value) -> int:
-    # JSON integers only: int() would truncate 0.7 to 0, and bool is an int
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"state id {value!r} is not an integer")
-    return value
-
-
 def mdp_from_json(data: dict) -> Mdp:
     try:
         atoms = AtomSet(tuple(data["atoms"]))
@@ -141,7 +129,7 @@ def mdp_from_json(data: dict) -> Mdp:
             row_names, row_dists = [], []
             for act in entry["actions"]:
                 row_names.append(str(act["name"]))
-                pairs = sorted((_state_id(s), _frac(p)) for s, p in act["to"])
+                pairs = sorted((_state_id(s), _probability(p)) for s, p in act["to"])
                 row_dists.append(tuple(pairs))
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise MdpError(

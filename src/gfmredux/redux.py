@@ -24,6 +24,8 @@ from .automata import (
     Automaton,
     AutomatonError,
     ProbAutomaton,
+    _probability,
+    _state_id,
     build_automaton,
     complete,
 )
@@ -81,12 +83,15 @@ def dba_to_dca(d: Automaton) -> Automaton:
 def nca_to_pa(a: Automaton) -> ProbAutomaton:
     """Uniform-weight probabilistic automaton over the same transitions;
     marks carry over and keep their infinitely-often reading."""
+    weight: dict[int, Fraction] = {}  # one Fraction(1, k) per out-degree k
     rows = []
-    for q in a.states():
+    for cells in a.transitions:
         row = []
-        for letter in a.alphabet.letters():
-            succs = a.succ(q, letter)
-            row.append(tuple((s, Fraction(1, len(succs))) for s in succs))
+        for succs in cells:
+            k = len(succs)
+            if k not in weight:
+                weight[k] = Fraction(1, k)
+            row.append(tuple((s, weight[k]) for s in succs))
         rows.append(tuple(row))
     transitions = tuple(rows)
     return ProbAutomaton(
@@ -205,36 +210,57 @@ def pa_to_json(pa: ProbAutomaton) -> dict:
 
 
 def pa_from_json(data: dict) -> ProbAutomaton:
+    """Read a `pa_to_json` document back; a malformed one raises
+    AutomatonError."""
     from .ltl import AtomSet
 
-    alphabet = Alphabet(
-        AtomSet(tuple(data["atoms"])), int(data.get("index_arity", 1))
-    )
-    states = data["states"]
+    try:
+        alphabet = Alphabet(
+            AtomSet(tuple(data["atoms"])), int(data.get("index_arity", 1))
+        )
+        initial = _state_id(data["initial"])
+        states = list(data["states"])
+        meta = {}
+        if "lang_class" in data:
+            meta["lang_class"] = tuple(data["lang_class"])
+        if "redux_id" in data:
+            meta["redux_id"] = data["redux_id"]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise AutomatonError(f"malformed PA document: {exc}") from None
     transitions = []
     marked = set()
     for q, rows in enumerate(states):
+        if not isinstance(rows, list):
+            raise AutomatonError(f"malformed PA state {q}: rows {rows!r} are not a list")
         if len(rows) != alphabet.size:
             raise AutomatonError(
                 f"state {q} has {len(rows)} letter rows, expected {alphabet.size}"
             )
         per_letter = []
         for letter, moves in enumerate(rows):
-            dist = []
-            for s, p, hot in moves:
-                dist.append((int(s), Fraction(str(p))))
-                if hot:
-                    marked.add((q, letter, int(s)))
+            try:
+                if not isinstance(moves, list):
+                    raise TypeError(f"moves {moves!r} are not a list")
+                dist = []
+                for move in moves:
+                    if not isinstance(move, list) or len(move) != 3:
+                        raise TypeError(f"move {move!r} is not [successor, p, marked]")
+                    s, p, hot = move
+                    s = _state_id(s)
+                    if not isinstance(hot, bool):
+                        raise TypeError(f"mark {hot!r} is not a boolean")
+                    dist.append((s, _probability(p)))
+                    if hot:
+                        marked.add((q, letter, s))
+            except (TypeError, ValueError) as exc:
+                raise AutomatonError(
+                    f"malformed PA state {q}, letter {letter}: {exc}"
+                ) from None
             per_letter.append(tuple(sorted(dist)))
         transitions.append(tuple(per_letter))
-    meta = {}
-    if "lang_class" in data:
-        meta["lang_class"] = tuple(data["lang_class"])
-    if "redux_id" in data:
-        meta["redux_id"] = data["redux_id"]
     return ProbAutomaton(
         alphabet=alphabet,
-        initial=int(data["initial"]),
+        initial=initial,
         transitions=tuple(transitions),
         marked=frozenset(marked),
         meta=meta or None,

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from gfmredux.automata import (
     prune_unreachable,
     strongly_connected_components,
 )
+from gfmredux.gfg_min import nca_determinize
 from gfmredux.graph import closure, component_of, coreach
 from gfmredux.ltl import atoms_named
 from oracles import brute_pa_lasso_prob
@@ -218,6 +220,64 @@ def test_dcw_counterexample_validates_inputs():
     buchi = two_letter("buchi", [(0, 0, 0), (0, 1, 0)], 1)
     with pytest.raises(AutomatonError):
         dcw_counterexample(buchi, fin)
+
+
+def _random_cobuchi(rng, alphabet, nondet):
+    """2-8 states; a nondeterministic one has up to two successors per
+    letter, and some states of it may lack a letter."""
+    n = rng.randint(2, 8)
+    edges = []
+    for q in range(n):
+        for x in alphabet.letters():
+            k = rng.choice((0, 1, 1, 2)) if nondet else 1
+            edges.extend(
+                (q, x, s, rng.random() < 0.3) for s in rng.sample(range(n), min(k, n))
+            )
+    return build_automaton(alphabet, n, 0, "cobuchi", edges)
+
+
+def test_dcw_counterexample_witnesses_are_real():
+    rng = random.Random(7)
+    alphabets = (AL1, Alphabet(atoms_named("a", "b"), 1), Alphabet(atoms_named("a"), 3))
+    found = contained = 0
+    for i in range(300):
+        al = rng.choice(alphabets)
+        a1 = _random_cobuchi(rng, al, nondet=i % 3 == 0)
+        if i % 5 == 0:
+            # a determinisation of a1 accepts every word a1 accepts
+            a2 = nca_determinize(complete(a1))
+            assert dcw_counterexample(a1, a2) is None
+            continue
+        a2 = _random_cobuchi(rng, al, nondet=False)
+        w = dcw_counterexample(a1, a2)
+        if w is None:
+            contained += 1
+            for _ in range(20):
+                v = LassoWord(
+                    tuple(rng.randrange(al.size) for _ in range(rng.randint(0, 3))),
+                    tuple(rng.randrange(al.size) for _ in range(rng.randint(1, 3))),
+                )
+                assert not lasso_member(a1, v) or lasso_member(a2, v), (a1, a2, v)
+        else:
+            found += 1
+            assert lasso_member(a1, w) and not lasso_member(a2, w), (a1, a2, w)
+    assert found >= 100 and contained >= 20, (found, contained)
+
+
+def test_lang_partition_agrees_with_inclusion_checks():
+    rng = random.Random(8)
+    merged = 0
+    for _ in range(120):
+        d = _random_cobuchi(rng, rng.choice((AL1, Alphabet(atoms_named("a"), 2))), False)
+        part = lang_partition(d)
+        at = [dataclasses.replace(d, initial=q) for q in d.states()]
+        for p in d.states():
+            for q in range(p):
+                same = (dcw_counterexample(at[p], at[q]) is None
+                        and dcw_counterexample(at[q], at[p]) is None)
+                assert (part[p] == part[q]) == same, (d, p, q)
+                merged += same
+    assert merged >= 50
 
 
 def test_lang_partition_merges_equivalent_states():

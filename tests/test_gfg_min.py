@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from gfmredux.automata import Alphabet, Automaton, AutomatonError, LassoWord, lasso_member
+from gfmredux.automata import (
+    Alphabet,
+    Automaton,
+    AutomatonError,
+    LassoWord,
+    build_automaton,
+    lang_partition,
+    lasso_member,
+)
 from gfmredux.gfg_min import (
     MinimizeError,
     alive_states,
@@ -121,6 +129,48 @@ def test_safe_contained_hand_case():
     assert safe_contained(DELAY, 3, 2)
     assert not safe_contained(DELAY, 2, 3)
     assert all(safe_contained(DELAY, q, q) for q in DELAY.states())
+
+
+def _random_dcw(rng):
+    al = Alphabet(AtomSet(("a", "b")[: rng.randint(1, 2)]), rng.randint(1, 2))
+    n = rng.randint(2, 8)
+    edges = [
+        (q, x, rng.randrange(n), rng.random() < 0.3)
+        for q in range(n) for x in al.letters()
+    ]
+    return build_automaton(al, n, 0, "cobuchi", edges)
+
+
+def _with_idle_atom(d):
+    """The same automaton over one more atom, which no state reads: letter y
+    of the larger alphabet acts as letter y mod |alphabet| of the old one."""
+    base = d.alphabet
+    big = Alphabet(AtomSet(base.atoms.names + ("idle",)), base.index_arity)
+    edges = [
+        (q, y, s, (q, y % base.size, s) in d.marked)
+        for q in d.states()
+        for y in big.letters()
+        for s in d.succ(q, y % base.size)
+    ]
+    return build_automaton(big, d.n_states, d.initial, "cobuchi", edges)
+
+
+def test_idle_atom_changes_no_relation():
+    rng = random.Random(11)
+    shrunk = 0
+    for _ in range(150):
+        d = _random_dcw(rng)
+        e = _with_idle_atom(d)
+        assert e.alphabet.size == 2 * d.alphabet.size
+        assert lang_partition(e) == lang_partition(d)
+        assert alive_states(e) == alive_states(d)
+        for p in d.states():
+            for q in d.states():
+                assert safe_contained(e, p, q) == safe_contained(d, p, q)
+        m = minimize(d)
+        assert minimize(e).n_states == m.n_states
+        shrunk += m.n_states < d.n_states
+    assert shrunk >= 30
 
 
 # nondeterministic: stay in 0 (marks on 1) or hop to 1 (marks on 0);

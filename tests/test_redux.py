@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,30 @@ def test_pa_from_json_checks_row_count(fixture_text):
     doc = pa_to_json(redux(from_hoa(fixture_text("commit_blind.hoa"))).pa)
     doc["states"][0] = doc["states"][0][:-1]
     with pytest.raises(AutomatonError, match="letter rows"):
+        pa_from_json(doc)
+
+
+def _first_move(doc):
+    return doc["states"][0][0][0]
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda d: d.update(initial=0.9), "state id 0.9 is not an integer"),
+    (lambda d: d.update(initial=True), "state id True is not an integer"),
+    (lambda d: d.pop("atoms"), "document: 'atoms'"),
+    (lambda d: d["states"].__setitem__(0, "rows"), "rows 'rows' are not a list"),
+    (lambda d: d["states"][0].__setitem__(0, "moves"), "moves 'moves' are not a list"),
+    (lambda d: d["states"][0][0].__setitem__(0, [0, "1"]), "move [0, '1'] is not"),
+    (lambda d: _first_move(d).__setitem__(0, True), "state id True is not an integer"),
+    (lambda d: _first_move(d).__setitem__(0, 0.7), "state id 0.7 is not an integer"),
+    (lambda d: _first_move(d).__setitem__(1, "x"), "bad probability 'x'"),
+    (lambda d: _first_move(d).__setitem__(1, "1/0"), "bad probability '1/0'"),
+    (lambda d: _first_move(d).__setitem__(2, "yes"), "mark 'yes' is not a boolean"),
+])
+def test_pa_from_json_rejects_malformed_fields(fixture_text, spoil, message):
+    doc = pa_to_json(redux(from_hoa(fixture_text("commit_blind.hoa"))).pa)
+    spoil(doc)
+    with pytest.raises(AutomatonError, match=f"malformed PA.*{re.escape(message)}"):
         pa_from_json(doc)
 
 

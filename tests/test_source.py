@@ -1,11 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import gfmredux
 
 SRC = Path(gfmredux.__file__).parent
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -93,3 +95,22 @@ def test_no_unused_imports_in_package():
         if (unused := unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert found == {}
+
+
+def test_benchmark_traces_only_functions_that_exist():
+    """perfbench/run.py --trace 1 wraps each `module.function` of TRACED in
+    perfbench/tracing.py; each must be defined in that gfmredux module."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    traced = next(
+        ast.literal_eval(stmt.value)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and [getattr(t, "id", None) for t in stmt.targets] == ["TRACED"]
+    )
+    missing = []
+    for name in traced:
+        mod_name, fn_name = name.split(".")
+        fn = getattr(importlib.import_module(f"gfmredux.{mod_name}"), fn_name, None)
+        if not callable(fn) or fn.__module__ != f"gfmredux.{mod_name}":
+            missing.append(name)
+    assert len(traced) > 20 and missing == []
