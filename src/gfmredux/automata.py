@@ -13,7 +13,7 @@ number a pair (p, q) as the integer p * n2 + q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -45,6 +45,48 @@ def _probability(text) -> Fraction:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad probability {text!r}: {exc}") from None
+
+
+def _probability_sum(dist) -> tuple[int, int]:
+    """The exact sum num/den of the probabilities of the (successor,
+    probability) pairs `dist`, accumulated by integer cross-multiplication
+    rather than one Fraction addition per term; the sum is 1 iff num == den.
+    Raises ValueError, carrying the probability, on the first one that is
+    not a positive Fraction."""
+    num, den = 0, 1
+    for _, p in dist:
+        if not isinstance(p, Fraction) or p.numerator <= 0:
+            raise ValueError(p)
+        d = p.denominator
+        if d == den:
+            num += p.numerator
+        else:
+            num, den = num * d + p.numerator * den, den * d
+    return num, den
+
+
+def _unchecked(cls, base=None, /, **values):
+    """An instance of the frozen dataclass `cls` built without running its
+    `__post_init__` checks.  Each field takes its value from `values`, else
+    from `base` (an instance of `cls`), else its default.
+
+    Only for values whose invariants hold by construction from inputs that
+    were checked: products of a checked MDP with a checked automaton, and
+    copies of a checked automaton that change its meta or its acceptance
+    reading.  tests/test_source.py names the functions allowed to call it.
+    """
+    obj = object.__new__(cls)
+    for f in fields(cls):
+        if f.name in values:
+            value = values.pop(f.name)
+        else:
+            value = f.default if base is None else getattr(base, f.name)
+        if value is MISSING:
+            raise TypeError(f"{cls.__name__}: no value for field {f.name!r}")
+        obj.__dict__[f.name] = value
+    if values:
+        raise TypeError(f"{cls.__name__} has no fields {sorted(values)}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -518,19 +560,23 @@ class ProbAutomaton:
                     continue  # one successor with probability 1
                 if not dist:
                     raise AutomatonError(f"state {q}: missing distribution")
-                total = Fraction(0)
                 seen = set()
-                for s, p in dist:
+                for s, _ in dist:
                     if not 0 <= s < n:
                         raise AutomatonError(f"state {q}: successor {s} out of range")
                     if s in seen:
                         raise AutomatonError(f"state {q}: duplicate successor {s}")
                     seen.add(s)
-                    if p <= 0:
-                        raise AutomatonError(f"state {q}: probability {p} <= 0")
-                    total += p
-                if total != 1:
-                    raise AutomatonError(f"state {q}: probabilities sum to {total}")
+                try:
+                    num, den = _probability_sum(dist)
+                except ValueError as exc:
+                    raise AutomatonError(
+                        f"state {q}: probability {exc.args[0]} is not a positive fraction"
+                    ) from None
+                if num != den:
+                    raise AutomatonError(
+                        f"state {q}: probabilities sum to {Fraction(num, den)}"
+                    )
         for (q, letter, s) in self.marked:
             if all(t != s for t, _ in self.transitions[q][letter]):
                 raise AutomatonError(f"marked triple ({q},{letter},{s}) not a transition")

@@ -25,6 +25,7 @@ from .automata import (
     Automaton,
     AutomatonError,
     LassoWord,
+    _unchecked,
     build_automaton,
     dcw_counterexample,
     lang_partition,
@@ -238,7 +239,7 @@ def minimize(d: Automaton) -> Automaton:
                 break
 
     part = lang_partition(cur)
-    cur = dataclasses.replace(cur, meta={"lang_class": part})
+    cur = _unchecked(Automaton, cur, meta={"lang_class": part})
     ce = _equiv_dcw(cur, original)
     if ce is not None:  # pragma: no cover - every merge was checked
         raise MinimizeError(f"minimisation changed the language: {ce}", ce)

@@ -5,6 +5,13 @@ trace is the label sequence along a path.  Products pair the MDP with an
 automaton whose branch (and, for indexed alphabets, letter rank) is picked
 by the product action, so the strategy resolves the automaton choices.
 All quantitative work can run exactly over fractions or in floats.
+
+An MDP built by a caller or read from JSON is checked by `Mdp.__post_init__`.
+Products (`product_nba`, `product_pa`) and indexed copies (`index_mdp`) of
+checked inputs are built without that check: their successors are sorted and
+unique by construction, and each distribution is a checked MDP distribution
+or its product with a checked automaton distribution, so it sums to 1;
+checking them again would repeat that work on every solve.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ from .automata import (
     Automaton,
     ProbAutomaton,
     _probability,
+    _probability_sum,
     _state_id,
+    _unchecked,
     complete,
 )
 from .exact import chain_accept, chain_reach
@@ -44,6 +53,11 @@ class Mdp:
 
     transitions[q][i] is the distribution of the i-th action of q, a tuple
     of (successor, probability) pairs sorted by successor.
+
+    Construction checks every field and that every distribution holds
+    positive Fractions summing to exactly 1 (summed over integers).  The
+    products and indexed copies of this module skip the check, since they
+    are built from checked MDPs and automata (see the module docstring).
     """
 
     alphabet: Alphabet
@@ -76,9 +90,8 @@ class Mdp:
             for dist in self.transitions[q]:
                 if not dist:
                     raise MdpError(f"state {q} has an empty distribution")
-                total = Fraction(0)
                 last = -1
-                for s, p in dist:
+                for s, _ in dist:
                     if not 0 <= s < n:
                         raise MdpError(f"state {q}: successor {s} out of range")
                     if s <= last:
@@ -86,12 +99,15 @@ class Mdp:
                             f"state {q}: successors must be sorted and unique"
                         )
                     last = s
-                    if not isinstance(p, Fraction) or p <= 0:
-                        raise MdpError(f"state {q}: probabilities must be "
-                                       "positive fractions")
-                    total += p
-                if total != 1:
-                    raise MdpError(f"state {q}: distribution sums to {total}")
+                try:
+                    num, den = _probability_sum(dist)
+                except ValueError:
+                    raise MdpError(f"state {q}: probabilities must be "
+                                   "positive fractions") from None
+                if num != den:
+                    raise MdpError(
+                        f"state {q}: distribution sums to {Fraction(num, den)}"
+                    )
 
     @property
     def n_states(self) -> int:
@@ -118,6 +134,7 @@ def mdp_from_json(data: dict) -> Mdp:
         raise MdpError(f"malformed MDP document: {exc}") from None
     alphabet = Alphabet(atoms)
     names, trans, labels = [], [], []
+    parsed: dict[str, Fraction] = {}  # each probability text is parsed once
     for q, entry in enumerate(raw_states):
         try:
             label = entry.get("label", [])
@@ -129,7 +146,15 @@ def mdp_from_json(data: dict) -> Mdp:
             row_names, row_dists = [], []
             for act in entry["actions"]:
                 row_names.append(str(act["name"]))
-                pairs = sorted((_state_id(s), _probability(p)) for s, p in act["to"])
+                pairs = []
+                for s, p in act["to"]:
+                    s = _state_id(s)
+                    key = str(p)
+                    pr = parsed.get(key)
+                    if pr is None:
+                        pr = parsed[key] = _probability(p)
+                    pairs.append((s, pr))
+                pairs.sort()
                 row_dists.append(tuple(pairs))
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise MdpError(
@@ -179,7 +204,8 @@ def index_mdp(m: Mdp, arity: int) -> Mdp:
         tuple(dist for dist in row for _ in range(arity))
         for row in m.transitions
     )
-    return Mdp(
+    return _unchecked(
+        Mdp,
         alphabet=m.alphabet,
         initial=m.initial,
         action_names=names,
@@ -241,7 +267,8 @@ def _product(m: Mdp, initial: int, moves) -> ProductMdp:
         trans.append(tuple(row_dists))
         labels.append(m.labels[s])
         p += 1
-    prod = Mdp(
+    prod = _unchecked(
+        Mdp,
         alphabet=m.alphabet,
         initial=0,
         action_names=tuple(names),
@@ -293,7 +320,7 @@ def product_pa(m: Mdp, pa: ProbAutomaton) -> ProductMdp:
                 hot = set()
                 for s2, pr_m in m.dist(s, ai):
                     for t, pr_a in pa.dist(q, letter):
-                        joint[(s2, t)] = joint.get((s2, t), Fraction(0)) + pr_m * pr_a
+                        joint[(s2, t)] = pr_m * pr_a
                         if (q, letter, t) in pa.marked:
                             hot.add((s2, t))
                 yield f"{nm}#{i}", joint.items(), hot

@@ -12,7 +12,6 @@ good-for-MDP inputs.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import time
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .automata import (
     ProbAutomaton,
     _probability,
     _state_id,
+    _unchecked,
     build_automaton,
     complete,
 )
@@ -77,7 +77,7 @@ def dba_to_dca(d: Automaton) -> Automaton:
         raise AutomatonError("dba_to_dca needs a Buchi automaton")
     if not (d.is_deterministic and d.is_complete):
         raise AutomatonError("dba_to_dca needs a deterministic complete automaton")
-    return dataclasses.replace(d, kind="cobuchi")
+    return _unchecked(Automaton, d, kind="cobuchi")
 
 
 def nca_to_pa(a: Automaton) -> ProbAutomaton:
@@ -170,13 +170,13 @@ def redux(a: Automaton) -> ReduxResult:
 
     t0 = time.perf_counter()
     lang_class = small.meta["lang_class"]
-    small = dataclasses.replace(
-        small, meta={"lang_class": lang_class, "redux_id": run_id}
+    small = _unchecked(
+        Automaton, small, meta={"lang_class": lang_class, "redux_id": run_id}
     )
     pa = nca_to_pa(small)
     record("pa", pa, t0)
 
-    dba = dataclasses.replace(dba, meta={"redux_id": run_id})
+    dba = _unchecked(Automaton, dba, meta={"redux_id": run_id})
     report = ReduxReport(stages=tuple(stages), minimized=small, run_id=run_id)
     return ReduxResult(pa=pa, dba=dba, report=report)
 

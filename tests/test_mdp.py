@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from gfmredux import mdp
-from gfmredux.automata import Alphabet
+from gfmredux.automata import Alphabet, _unchecked, complete
+from gfmredux.gf_direct import gf_to_dba, gf_to_gfm
 from gfmredux.hoa import from_hoa
-from gfmredux.ltl import AtomSet
+from gfmredux.ltl import AtomSet, atoms_named, parse, to_string
 from gfmredux.mdp import (
     Mdp,
     MdpError,
@@ -29,7 +30,8 @@ from gfmredux.mdp import (
     strategy_to_json,
     synthesize,
 )
-from gfmredux.redux import redux
+from gfmredux.patterns import gen_pattern
+from gfmredux.redux import nca_to_pa, redux
 from oracles import brute_max_reach, brute_mecs
 
 
@@ -120,6 +122,78 @@ def test_mdp_json_rejects_non_integer_ids_and_string_labels(coin, spoil, message
     spoil(doc)
     with pytest.raises(MdpError, match=f"malformed MDP.*{re.escape(message)}"):
         mdp_from_json(doc)
+
+
+def _two_state_doc(to):
+    return {"atoms": ["a"], "initial": 0, "states": [
+        {"label": [], "actions": [{"name": "go", "to": to}]},
+        {"label": ["a"], "actions": [{"name": "stay", "to": [[1, "1"]]}]},
+    ]}
+
+
+@pytest.mark.parametrize("to, message", [
+    ([[0, "1/2"], [1, "5/12"]], "state 0: distribution sums to 11/12"),
+    ([[0, "0"], [1, "1"]], "state 0: probabilities must be positive fractions"),
+    ([[0, "-1/2"], [1, "3/2"]], "state 0: probabilities must be positive fractions"),
+])
+def test_mdp_json_rejects_bad_distributions(to, message):
+    with pytest.raises(MdpError, match=re.escape(message)):
+        mdp_from_json(_two_state_doc(to))
+
+
+def test_mdp_rejects_float_probabilities_that_sum_to_one():
+    loop = (((1, Fraction(1)),),)
+    with pytest.raises(MdpError, match="positive fractions"):
+        _mdp(((((0, 0.25), (1, 0.75)),), loop), (0, 0))
+
+
+def test_mdp_json_parses_repeated_probability_texts_alike():
+    doc = _two_state_doc([[1, "1/2"], [0, 0.5]])
+    doc["states"][1]["actions"].append({"name": "split", "to": [[0, "1/2"], [1, "1/2"]]})
+    m = mdp_from_json(doc)
+    half = ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
+    assert m.dist(0, 0) == m.dist(1, 1) == half
+    assert all(type(p) is Fraction for _, p in m.dist(0, 0) + m.dist(1, 1))
+
+
+PRODUCT_ATOMS = ("a", "b", "a1", "a2")
+
+
+def test_products_of_checked_inputs_pass_the_full_check():
+    """Products are built without Mdp.__post_init__; running it on them must
+    find nothing, for every route and for indexed copies.  The redux PAs
+    are deterministic, so uniform-weight PAs of the nondeterministic GFM
+    automata add products of fractional automaton weights."""
+    ap = atoms_named(*PRODUCT_ATOMS)
+    autos = []
+    for text in ["GF a"] + [to_string(gen_pattern(family, (n,)))
+                            for family, n in (("TDR", 2), ("TDR", 3), ("LIB", 2))]:
+        f = parse(text, ap)
+        gfm = gf_to_gfm(f, ap)
+        autos.append((gfm, gf_to_dba(f, ap), redux(gfm).pa, nca_to_pa(complete(gfm))))
+    assert any(p != 1 for *_, uniform in autos for row in uniform.transitions
+               for dist in row for _, p in dist)
+    for seed in range(20):
+        m = gen_random_mdp(random.Random(seed), atoms=PRODUCT_ATOMS)
+        for arity in (1, 2, 3):
+            index_mdp(m, arity).__post_init__()
+        for gfm, dba, pa, uniform in autos:
+            for prod in (product_nba(m, gfm), product_nba(m, dba),
+                         product_pa(m, pa), product_pa(m, uniform)):
+                prod.mdp.__post_init__()
+
+
+def test_unchecked_takes_fields_from_values_base_and_defaults(coin):
+    copy = _unchecked(Mdp, coin, meta="tag")
+    assert copy == coin and copy.meta == "tag" and copy.labels is coin.labels
+    fresh = _unchecked(Mdp, alphabet=coin.alphabet, initial=0,
+                       action_names=coin.action_names,
+                       transitions=coin.transitions, labels=coin.labels)
+    assert fresh == coin and fresh.meta is None
+    with pytest.raises(TypeError, match="no value for field 'action_names'"):
+        _unchecked(Mdp, alphabet=coin.alphabet, initial=0)
+    with pytest.raises(TypeError, match="has no fields"):
+        _unchecked(Mdp, coin, lables=())
 
 
 def test_product_values_blind(coin, fixture_text):

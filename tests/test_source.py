@@ -114,3 +114,73 @@ def test_benchmark_traces_only_functions_that_exist():
         if not callable(fn) or fn.__module__ != f"gfmredux.{mod_name}":
             missing.append(name)
     assert len(traced) > 20 and missing == []
+
+
+# The only functions that may build a value without its __post_init__ checks:
+# products of a checked MDP and automaton, and copies of a checked automaton
+# that change only its meta or its acceptance reading.  Input read from
+# outside (mdp_from_json, pa_from_json, from_hoa) and public constructors
+# must always be checked.
+UNCHECKED_CALLERS = {
+    "mdp._product", "mdp.index_mdp",
+    "redux.redux", "redux.dba_to_dca",
+    "gfg_min.minimize",
+}
+
+
+def unchecked_callers(trees: dict[str, ast.Module]) -> set[str]:
+    """Where the package calls `automata._unchecked`, under any name it is
+    imported as: "module.function" (or "module.Class.method") of the
+    definition holding the call, "module.<module>" for module-level code."""
+    found = set()
+    for mod, tree in trees.items():
+        names = {"_unchecked"} | {
+            alias.asname
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name == "_unchecked" and alias.asname
+        }
+        owners = []
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owners.append((f"{mod}.{stmt.name}", stmt))
+            elif isinstance(stmt, ast.ClassDef):
+                owners += [(f"{mod}.{stmt.name}.{getattr(s, 'name', '<class>')}", s)
+                           for s in stmt.body]
+            else:
+                owners.append((f"{mod}.<module>", stmt))
+        for owner, stmt in owners:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id in names
+                    or isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_unchecked"
+                ):
+                    found.add(owner)
+    return found
+
+
+def test_unchecked_scan_finds_planted_calls():
+    trees = {
+        "mdp": ast.parse(
+            "from .automata import _unchecked as build\n\n"
+            "def mdp_from_json(data):\n    return build(Mdp, **data)\n\n"
+            "def _product(m):\n    return _unchecked(Mdp, m)\n"
+        ),
+        "hoa": ast.parse(
+            "from . import automata\n\nclass Reader:\n"
+            "    def from_hoa(self, text):\n"
+            "        return automata._unchecked(Automaton, kind=text)\n\n"
+            "DEFAULT = _unchecked(Automaton)\n"
+        ),
+    }
+    assert unchecked_callers(trees) == {
+        "mdp.mdp_from_json", "mdp._product", "hoa.Reader.from_hoa", "hoa.<module>",
+    }
+
+
+def test_unchecked_construction_only_from_checked_inputs():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert unchecked_callers(trees) == UNCHECKED_CALLERS
