@@ -8,6 +8,8 @@ their marks or conservatively marking them.  Each candidate rewrite is
 committed only after an exact equivalence check against the *original*
 automaton, so the result is correct by checking rather than by a fragile
 transition-rule argument; a rewrite that fails the check is simply skipped.
+The separating lasso of each failed check is kept, and a later rewrite whose
+run on a kept lasso disagrees with the original is skipped without a check.
 Everything stays deterministic, which keeps all checks polynomial.  Language
 classes, safe containment and the equivalence checks are integer pair
 products over letter classes (see `automata`), so an indexed alphabet costs
@@ -188,6 +190,40 @@ def _redirect(d: Automaton, gone: int, target: int, keep_marks: bool) -> Automat
     return prune_unreachable(cand)
 
 
+def _run_accepts(
+    d: Automaton, w: LassoWord, gone: int = -1, target: int = -1,
+    keep_marks: bool = True,
+) -> bool:
+    """Does the deterministic complete co-Buchi automaton d accept the lasso
+    w, when every move into `gone` goes to `target` instead?  That is the run
+    of `_redirect(d, gone, target, keep_marks)`, read on d itself: a
+    redirected move is marked unless keep_marks keeps an unmarked one.  The
+    default `gone` redirects nothing."""
+    t = d._tables
+    det, unsafe, letter_class = t.det, t.unsafe, t.letter_class
+    q = target if d.initial == gone else d.initial
+    for x in w.prefix:
+        q = det[q][letter_class[x]]
+        if q == gone:
+            q = target
+    # read the cycle until a state at its start repeats; the run accepts iff
+    # the loop from there on is unmarked
+    start: dict = {}
+    hot = []
+    while q not in start:
+        start[q] = len(hot)
+        marked = False
+        for x in w.cycle:
+            c = letter_class[x]
+            marked = marked or unsafe[q] >> c & 1
+            q = det[q][c]
+            if q == gone:
+                q = target
+                marked = marked or not keep_marks
+        hot.append(marked)
+    return not any(hot[start[q]:])
+
+
 def _equiv_dcw(a: Automaton, b: Automaton) -> LassoWord | None:
     ce = dcw_counterexample(a, b)
     if ce is not None:
@@ -208,6 +244,9 @@ def minimize(d: Automaton) -> Automaton:
     _require_dcw_complete(d, "minimize")
     original = prune_unreachable(d)
     cur = normalize_safety(original)
+    # (lasso, accepted by original) for every rejected candidate: a later
+    # candidate whose run on a stored lasso disagrees needs no product check
+    refuters: list[tuple[LassoWord, bool]] = []
 
     changed = True
     while changed:
@@ -227,11 +266,18 @@ def minimize(d: Automaton) -> Automaton:
             committed = False
             for target in (equal + strict)[:_MAX_TARGETS]:
                 for keep_marks in (True, False):
+                    if any(
+                        _run_accepts(cur, w, q, target, keep_marks) != accepts
+                        for w, accepts in refuters
+                    ):
+                        continue  # a stored lasso already separates it
                     cand = _redirect(cur, q, target, keep_marks)
-                    if _equiv_dcw(cand, original) is None:
+                    ce = _equiv_dcw(cand, original)
+                    if ce is None:
                         cur = normalize_safety(cand)
                         committed = True
                         break
+                    refuters.append((ce, _run_accepts(original, ce)))
                 if committed:
                     break
             if committed:

@@ -288,6 +288,8 @@ def from_hoa(text: str) -> Automaton:
 
     edges = []
     state = None
+    # letters of each distinct label text, parsed and evaluated once
+    label_letters: dict[str, list[int]] = {}
     for ln in lines[body_at + 1 :]:
         if ln == "--END--":
             break
@@ -317,7 +319,10 @@ def from_hoa(text: str) -> Automaton:
             close = ln.find("]")
             if close < 0:
                 raise HoaError(f"bad transition line: {ln!r}")
-            label = _parse_label(ln[1:close])
+            label_text = ln[1:close]
+            letters = label_letters.get(label_text)
+            if letters is None:
+                label = _parse_label(label_text)
             rest = ln[close + 1 :].split()
             if not rest or not rest[0].isdigit():
                 raise HoaError(f"bad transition line: {ln!r}")
@@ -330,17 +335,20 @@ def from_hoa(text: str) -> Automaton:
                 if acc.replace(" ", "") != "{0}":
                     raise HoaError(f"unsupported acceptance sets: {acc!r}")
                 marked = True
-            for ext in range(1 << nbits):
-                if not label.eval(ext):
-                    continue
-                idx = (ext >> n_atoms) + 1
-                if idx > arity:
-                    raise HoaError(
-                        f"transition label uses index {idx} beyond "
-                        f"x-index-arity {arity}"
-                    )
-                letter = alphabet.letter(ext & ((1 << n_atoms) - 1), idx)
-                edges.append((state, letter, dst, marked))
+            if letters is None:
+                letters = []
+                for ext in range(1 << nbits):
+                    if not label.eval(ext):
+                        continue
+                    idx = (ext >> n_atoms) + 1
+                    if idx > arity:
+                        raise HoaError(
+                            f"transition label uses index {idx} beyond "
+                            f"x-index-arity {arity}"
+                        )
+                    letters.append(alphabet.letter(ext & ((1 << n_atoms) - 1), idx))
+                label_letters[label_text] = letters
+            edges.extend((state, letter, dst, marked) for letter in letters)
         else:
             raise HoaError(f"unexpected body line: {ln!r}")
 

@@ -26,7 +26,6 @@ from .automata import (
     _probability,
     _state_id,
     _unchecked,
-    build_automaton,
     complete,
 )
 from .gfg_min import minimize
@@ -44,30 +43,26 @@ def gfm_to_dba(a: Automaton) -> Automaton:
     if a.kind != "buchi":
         raise AutomatonError(f"gfm_to_dba needs a Buchi automaton, got {a.kind}")
     a = complete(a)
-    base = a.alphabet
-    k = max(len(a.succ(q, x)) for q in a.states() for x in base.letters())
-    alphabet = Alphabet(base.atoms, base.index_arity * k)
-    need_sink = any(
-        len(a.succ(q, x)) < k for q in a.states() for x in base.letters()
+    k = max(map(len, itertools.chain.from_iterable(a.transitions)))
+    # lifted letter (x, j) of base letter x and rank j is x * k + j - 1
+    sink = (a.n_states,)
+    rows = []
+    need_sink = False
+    for cells in a.transitions:
+        row = []
+        for succs in cells:
+            row.extend((s,) for s in succs)
+            if len(succs) < k:
+                row.extend([sink] * (k - len(succs)))
+                need_sink = True
+        rows.append(tuple(row))
+    marked = frozenset(
+        (q, x * k + a.transitions[q][x].index(s), s) for q, x, s in a.marked
     )
-    sink = a.n_states
-    edges = []
-    for q in a.states():
-        for x in base.letters():
-            succs = a.succ(q, x)
-            for j in range(1, k + 1):
-                lifted = alphabet.letter(base.mask(x), (base.index(x) - 1) * k + j)
-                if j <= len(succs):
-                    s = succs[j - 1]
-                    edges.append((q, lifted, s, (q, x, s) in a.marked))
-                else:
-                    edges.append((q, lifted, sink, False))
-    n = a.n_states
+    alphabet = Alphabet(a.alphabet.atoms, a.alphabet.index_arity * k)
     if need_sink:
-        for y in alphabet.letters():
-            edges.append((sink, y, sink, False))
-        n += 1
-    return build_automaton(alphabet, n, a.initial, "buchi", edges)
+        rows.append((sink,) * alphabet.size)
+    return Automaton(alphabet, "buchi", a.initial, tuple(rows), marked)
 
 
 def dba_to_dca(d: Automaton) -> Automaton:
@@ -184,16 +179,21 @@ def redux(a: Automaton) -> ReduxResult:
 def pa_to_json(pa: ProbAutomaton) -> dict:
     """JSON document for a probabilistic automaton: per state, per letter id,
     a list of [successor, probability, marked] moves."""
+    marked = pa.marked
+    # str of each probability object, keyed by id: nca_to_pa shares one
+    # Fraction per out-degree, and pa keeps every key's object alive
+    text: dict[int, str] = {}
     states = []
-    for q in range(len(pa.transitions)):
+    for q, cells in enumerate(pa.transitions):
         rows = []
-        for letter in pa.alphabet.letters():
-            rows.append(
-                [
-                    [s, str(p), (q, letter, s) in pa.marked]
-                    for s, p in pa.dist(q, letter)
-                ]
-            )
+        for letter, dist in enumerate(cells):
+            row = []
+            for s, p in dist:
+                t = text.get(id(p))
+                if t is None:
+                    t = text[id(p)] = str(p)
+                row.append([s, t, (q, letter, s) in marked])
+            rows.append(row)
         states.append(rows)
     doc = {
         "atoms": list(pa.alphabet.atoms),

@@ -11,8 +11,12 @@ from gfmredux.automata import (
     lang_partition,
     lasso_member,
 )
+from gfmredux import gfg_min
+from gfmredux.gf_direct import gf_to_dba
 from gfmredux.gfg_min import (
     MinimizeError,
+    _redirect,
+    _run_accepts,
     alive_states,
     lift_clamped,
     minimize,
@@ -25,6 +29,8 @@ from gfmredux.gfg_min import (
 )
 from gfmredux.hoa import from_hoa
 from gfmredux.ltl import AtomSet
+from gfmredux.patterns import gen_pattern
+from gfmredux.redux import dba_to_dca
 
 ALPH = Alphabet(AtomSet(("a",)), 1)
 
@@ -139,6 +145,56 @@ def _random_dcw(rng):
         for q in range(n) for x in al.letters()
     ]
     return build_automaton(al, n, 0, "cobuchi", edges)
+
+
+def _random_lasso(rng, size, max_len=6):
+    return LassoWord(
+        tuple(rng.randrange(size) for _ in range(rng.randint(0, max_len))),
+        tuple(rng.randrange(size) for _ in range(rng.randint(1, max_len))),
+    )
+
+
+def test_run_accepts_matches_the_redirected_automaton():
+    rng = random.Random(23)
+    for _ in range(200):
+        d = _random_dcw(rng)
+        gone, target = rng.sample(range(d.n_states), 2)
+        keep_marks = rng.random() < 0.5
+        cand = _redirect(d, gone, target, keep_marks)
+        for _ in range(10):
+            w = _random_lasso(rng, d.alphabet.size)
+            assert _run_accepts(d, w) == lasso_member(d, w)
+            assert _run_accepts(d, w, gone, target, keep_marks) == lasso_member(cand, w)
+
+
+@pytest.mark.parametrize("family, params", [("TDR", (3,)), ("NCS", (1, 2))])
+def test_stored_lassos_refute_failed_merges(family, params, monkeypatch):
+    d = dba_to_dca(gf_to_dba(gen_pattern(family, params)))
+    stored = []  # lassos returned by earlier checks
+    real_equiv = gfg_min._equiv_dcw
+
+    def spy_equiv(cand, original):
+        for w in stored:  # no stored lasso separates a checked candidate
+            assert lasso_member(cand, w) == lasso_member(d, w), w
+        ce = real_equiv(cand, original)
+        if ce is not None:
+            stored.append(ce)
+        return ce
+
+    products = []
+    real_ce = gfg_min.dcw_counterexample
+
+    def spy_ce(a, b):
+        products.append(a)
+        return real_ce(a, b)
+
+    monkeypatch.setattr(gfg_min, "_equiv_dcw", spy_equiv)
+    monkeypatch.setattr(gfg_min, "dcw_counterexample", spy_ce)
+    m = minimize(d)
+    assert m.n_states == d.n_states == 8
+    assert stored
+    # checking every candidate in full took 50 product constructions
+    assert len(products) < 50
 
 
 def _with_idle_atom(d):

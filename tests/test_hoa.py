@@ -113,6 +113,50 @@ def test_rejects_index_beyond_arity():
         from_hoa(text)
 
 
+def test_repeated_bad_labels_raise_at_their_first_edge():
+    head = "HOA: v1\nStates: 2\nStart: 0\nAP: 1 \"a\"\nAcceptance: 1 Inf(0)\n--BODY--\n"
+    bad_syntax = head + "State: 0\n[0 &] 1\nState: 1\n[0 &] 0\n[0 &] 7\n--END--\n"
+    with pytest.raises(HoaError, match=r"^bad label syntax: '0 &'$"):
+        from_hoa(bad_syntax)
+    arity = head.replace('AP: 1 "a"', 'AP: 3 "a" "_idx0" "_idx1"\nx-index-arity: 3')
+    good_then_bad = (
+        arity + "State: 0\n[!1&!2] 1\n[!1&!2] 0\nState: 1\n[1&2] 0\n[1&2] 1\n--END--\n"
+    )
+    with pytest.raises(
+        HoaError, match=r"^transition label uses index 4 beyond x-index-arity 3$"
+    ):
+        from_hoa(good_then_bad)
+    # the label is read where its edge is: an earlier bad target comes first
+    with pytest.raises(HoaError, match="target 7 out of range"):
+        from_hoa(good_then_bad.replace("[1&2] 0", "[1&2] 7"))
+
+
+def test_repeated_labels_give_the_same_automaton():
+    rng = random.Random(9)
+    al = Alphabet(atoms_named("a"), 2)
+    repeats = 0
+    for _ in range(20):
+        edges = [
+            (q, x, s, rng.random() < 0.3)
+            for q in range(4) for x in al.letters() for s in range(4)
+            if rng.random() < 0.3
+        ]
+        a = build_automaton(al, 4, 0, "buchi", edges)
+        text = to_hoa(a)
+        # the same labels spelled apart: wrap the i-th one in i parentheses
+        lines = text.splitlines()
+        spelled = [
+            "[" + "(" * i + ln[1:ln.index("]")] + ")" * i + ln[ln.index("]"):]
+            if ln.startswith("[") else ln
+            for i, ln in enumerate(lines)
+        ]
+        b = from_hoa(text)
+        assert b == from_hoa("\n".join(spelled)) == a
+        labels = [ln[: ln.index("]")] for ln in lines if ln.startswith("[")]
+        repeats += len(labels) - len(set(labels))
+    assert repeats > 20
+
+
 def test_arity_one_keeps_index_looking_names_as_atoms():
     text = (
         "HOA: v1\nStates: 1\nStart: 0\nAP: 2 \"a\" \"_idx0\"\n"

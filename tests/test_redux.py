@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -5,14 +6,17 @@ from fractions import Fraction
 import pytest
 
 from gfmredux.automata import (
+    Alphabet,
     AutomatonError,
     LassoWord,
+    build_automaton,
     complete,
     lasso_member,
     pa_lasso_prob,
 )
 from gfmredux import gfg_min
 from gfmredux.hoa import from_hoa
+from gfmredux.ltl import AtomSet
 from gfmredux.redux import dba_to_dca, gfm_to_dba, nca_to_pa, pa_from_json, pa_to_json, redux
 
 
@@ -33,6 +37,47 @@ def test_gfm_to_dba_identity_on_deterministic(fixture_text):
     d = gfm_to_dba(a)
     assert d.alphabet.index_arity == 1
     assert d.transitions == complete(a).transitions
+
+
+def _random_nba(rng):
+    """A nondeterministic, possibly incomplete Buchi automaton."""
+    al = Alphabet(AtomSet(("a", "b")[: rng.randint(1, 2)]), rng.randint(1, 3))
+    n = rng.randint(1, 6)
+    edges = [
+        (q, x, s, rng.random() < 0.3)
+        for q in range(n) for x in al.letters() for s in range(n)
+        if rng.random() < 0.35
+    ]
+    return build_automaton(al, n, rng.randrange(n), "buchi", edges)
+
+
+def test_gfm_to_dba_equals_the_edge_list_construction():
+    rng = random.Random(31)
+    arities = set()
+    for _ in range(150):
+        a = complete(_random_nba(rng))
+        base = a.alphabet
+        k = max(len(a.succ(q, x)) for q in a.states() for x in base.letters())
+        alphabet = Alphabet(base.atoms, base.index_arity * k)
+        sink = a.n_states
+        edges = []
+        for q in a.states():
+            for x in base.letters():
+                succs = a.succ(q, x)
+                for j in range(1, k + 1):
+                    lifted = alphabet.letter(base.mask(x), (base.index(x) - 1) * k + j)
+                    if j <= len(succs):
+                        s = succs[j - 1]
+                        edges.append((q, lifted, s, (q, x, s) in a.marked))
+                    else:
+                        edges.append((q, lifted, sink, False))
+        n = a.n_states
+        if any(len(a.succ(q, x)) < k for q in a.states() for x in base.letters()):
+            edges += [(sink, y, sink, False) for y in alphabet.letters()]
+            n += 1
+        assert gfm_to_dba(a) == build_automaton(alphabet, n, a.initial, "buchi", edges)
+        arities.add((base.index_arity, k))
+    assert any(i > 1 and k > 1 for i, k in arities)
 
 
 def test_gfm_to_dba_rejects_cobuchi(fixture_text):
@@ -113,6 +158,23 @@ def test_pa_json_round_trip(fixture_text):
     assert back.marked == res.pa.marked
     assert back.meta["lang_class"] == res.pa.meta["lang_class"]
     assert back.meta["redux_id"] == res.pa.meta["redux_id"]
+
+
+def test_pa_to_json_writes_each_probability_as_str():
+    rng = random.Random(37)
+    weights = set()
+    for _ in range(40):
+        pa = nca_to_pa(complete(_random_nba(rng)))
+        # a PA read back holds one Fraction object per move, not per weight
+        for p in (pa, pa_from_json(pa_to_json(pa))):
+            want = [
+                [[[s, str(w), (q, x, s) in p.marked] for s, w in p.dist(q, x)]
+                 for x in p.alphabet.letters()]
+                for q in p.states()
+            ]
+            assert json.dumps(pa_to_json(p)["states"]) == json.dumps(want)
+        weights.update(w for row in pa.transitions for dist in row for _, w in dist)
+    assert len(weights) > 2
 
 
 def test_pa_from_json_checks_row_count(fixture_text):
