@@ -71,9 +71,10 @@ def _unchecked(cls, base=None, /, **values):
     from `base` (an instance of `cls`), else its default.
 
     Only for values whose invariants hold by construction from inputs that
-    were checked: products of a checked MDP with a checked automaton, and
-    copies of a checked automaton that change its meta or its acceptance
-    reading.  tests/test_source.py names the functions allowed to call it.
+    were checked: products of a checked MDP with a checked automaton, copies
+    of a checked automaton that change its meta or its acceptance reading,
+    and the uniform weighting of a checked complete automaton.
+    tests/test_source.py names the functions allowed to call it.
     """
     obj = object.__new__(cls)
     for f in fields(cls):

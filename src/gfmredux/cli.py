@@ -386,6 +386,16 @@ def _cmd_fixtures(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+def _at_least(low: int):
+    """argparse type: an integer of at least `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return integer
+
+
 def _make_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gfmredux", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -441,9 +451,9 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="compare two automata on random lassos")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--lassos", type=int, default=1000)
+    p.add_argument("--lassos", type=_at_least(0), default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", dest="max_len", type=int, default=8)
+    p.add_argument("--max-len", dest="max_len", type=_at_least(1), default=8)
     p.set_defaults(func=_cmd_check_equiv)
 
     p = sub.add_parser("fixtures", help="copy bundled fixture files")

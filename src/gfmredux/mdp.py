@@ -32,7 +32,7 @@ from .automata import (
     complete,
 )
 from .exact import chain_accept, chain_reach
-from .graph import component_of, coreach, strongly_connected_components
+from .graph import component_of, strongly_connected_components
 
 _VI_TOL = 1e-10
 _VI_CAP = 1_000_000
@@ -127,6 +127,8 @@ class Mdp:
 
 def mdp_from_json(data: dict) -> Mdp:
     try:
+        if not isinstance(data["atoms"], list):
+            raise TypeError(f"atoms {data['atoms']!r} are not a list")
         atoms = AtomSet(tuple(data["atoms"]))
         initial = _state_id(data["initial"])
         raw_states = list(data["states"])
@@ -414,11 +416,18 @@ def mec_decompose(
 
 @dataclass(frozen=True)
 class ValueVector:
-    """Values per state.  In float mode every value lies within `gap` of
-    the exact one; in exact mode `gap` is 0."""
+    """Values per state, and the policy that attains them.  In float mode
+    every value lies within `gap` of the exact one; in exact mode `gap` is 0.
+
+    `policy` maps each positive-value state outside the goal to an action:
+    on value-1 states the almost-sure attractor (the action keeps the value
+    1 and moves strictly closer to the goal), elsewhere the policy that
+    policy iteration proved optimal (exact mode) or that was read off the
+    final float values (float mode)."""
 
     values: tuple
     exact: bool
+    policy: dict[int, int]
     gap: float = 0.0
 
     def __getitem__(self, q: int):
@@ -426,32 +435,6 @@ class ValueVector:
 
     def __len__(self):
         return len(self.values)
-
-
-def _can_reach(m: Mdp, goal: frozenset[int]) -> set[int]:
-    return coreach(
-        m.states(),
-        lambda q: [s for dist in m.transitions[q] for s, _ in dist],
-        goal,
-    )
-
-
-def _prob1(m: Mdp, goal: frozenset[int]) -> frozenset[int]:
-    """States winning reachability almost surely (goal is absorbing)."""
-    universe = set(m.states())
-
-    def staying_succ(q):
-        # successors along actions that cannot leave the universe
-        return [
-            s for dist in m.transitions[q]
-            if all(t in universe for t, _ in dist) for s, _ in dist
-        ]
-
-    while True:
-        inside = coreach(universe, staying_succ, goal)
-        if inside == universe:
-            return frozenset(universe)
-        universe = inside
 
 
 def _float_model(m: Mdp, interior: list[int], sure: frozenset[int]):
@@ -579,6 +562,32 @@ def _attract(m: Mdp, targets, candidates: dict[int, list[int]]) -> dict[int, int
     return choice
 
 
+def _prob1(m: Mdp, goal: frozenset[int]) -> tuple[frozenset[int], dict[int, int]]:
+    """The states that can reach `goal` (absorbing), and the almost-sure
+    attractor: each state outside the goal that reaches it almost surely,
+    mapped to an action that stays among those states and moves strictly
+    closer to the goal.
+
+    The first backward search (`_attract`), over every action, finds the
+    states that can reach the goal.  Each later one keeps only the actions
+    that cannot leave the states the previous search found, until a search
+    finds them all again.
+    """
+    candidates = {q: range(m.n_actions(q)) for q in m.states() if q not in goal}
+    choice = _attract(m, goal, candidates)
+    reachers = universe = goal.union(choice)
+    while True:
+        candidates = {
+            q: [ai for ai in candidates[q]
+                if all(s in universe for s, _ in m.dist(q, ai))]
+            for q in choice
+        }
+        choice = _attract(m, goal, candidates)
+        if len(choice) == len(candidates):
+            return reachers, choice
+        universe = goal.union(choice)
+
+
 def _seed_policy(m, interior, sure, rows, mid) -> dict[int, int]:
     """A policy read off float values `mid` of the interior: per interior
     state, the actions within _ARGMAX_TOL of the best, attracted toward
@@ -595,42 +604,35 @@ def _seed_policy(m, interior, sure, rows, mid) -> dict[int, int]:
 
 
 def max_reach(m: Mdp, goal: frozenset[int], exact: bool = True) -> ValueVector:
-    """Optimal probability of reaching `goal` (absorbing) from every state.
+    """Optimal probability of reaching `goal` (absorbing) from every state,
+    with the policy that attains it (see `ValueVector`).
 
     After the qualitative 0/1 analysis both modes run interval iteration
-    on the remaining states.  Float mode returns the midpoints of the
-    bounds once they are within _VI_TOL of each other, and raises MdpError
-    if that takes more than _VI_CAP sweeps.  Exact mode uses the bounds
-    only to pick the first policy of a policy iteration over fractions:
-    each policy is evaluated exactly by `exact.chain_reach`, and an exact
-    improvement sweep that switches nothing proves it optimal.
+    on the remaining states and read a policy off the midpoints of the
+    bounds.  Float mode returns the midpoints once the bounds are within
+    _VI_TOL of each other, and raises MdpError if that takes more than
+    _VI_CAP sweeps.  Exact mode stops the bounds early and starts a policy
+    iteration over fractions from that policy: each policy is evaluated
+    exactly by `exact.chain_reach`, and an exact improvement sweep that
+    switches nothing proves it optimal.
     """
     goal = frozenset(goal)
     for q in goal:
         if not 0 <= q < m.n_states:
             raise MdpError(f"goal state {q} out of range")
-    reachers = _can_reach(m, goal)
-    sure = _prob1(m, goal)
+    reachers, policy = _prob1(m, goal)
+    sure = goal.union(policy)
     interior = [q for q in m.states() if q in reachers and q not in sure]
     rows = _float_model(m, interior, sure)
-
-    if not exact:
-        mid, gap, sweeps = _interval_iteration(rows, _VI_TOL, _VI_CAP)
-        if gap > _VI_TOL:
-            raise MdpError(
-                f"float value iteration did not converge: gap {gap:.3g} "
-                f"after {sweeps} sweeps"
-            )
-        vals = [1.0 if q in sure else 0.0 for q in m.states()]
-        for q, v in zip(interior, mid):
-            vals[q] = v
-        return ValueVector(tuple(vals), exact=False, gap=gap)
-
-    values = {q: Fraction(1) for q in sure}
-    values.update({q: Fraction(0) for q in m.states() if q not in reachers})
-    if interior:
-        mid, _, _ = _interval_iteration(rows, _SEED_TOL, _SEED_CAP)
-        policy = _seed_policy(m, interior, sure, rows, mid)
+    tol, cap = (_SEED_TOL, _SEED_CAP) if exact else (_VI_TOL, _VI_CAP)
+    mid, gap, sweeps = _interval_iteration(rows, tol, cap)
+    if not exact and gap > _VI_TOL:
+        raise MdpError(
+            f"float value iteration did not converge: gap {gap:.3g} "
+            f"after {sweeps} sweeps"
+        )
+    policy.update(_seed_policy(m, interior, sure, rows, mid))
+    if exact and interior:
         for _ in range(100_000):
             current = chain_reach(
                 lambda q: m.dist(q, policy[q]), interior, sure
@@ -664,8 +666,12 @@ def max_reach(m: Mdp, goal: frozenset[int], exact: bool = True) -> ValueVector:
                 break
         else:  # pragma: no cover
             raise MdpError("policy iteration failed to converge")
-        values.update(current)
-    return ValueVector(tuple(values[q] for q in m.states()), exact=True)
+        mid = [current[q] for q in interior]
+    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
+    values = [one if q in sure else zero for q in m.states()]
+    for q, v in zip(interior, mid):
+        values[q] = v
+    return ValueVector(tuple(values), exact, policy, gap=0.0 if exact else gap)
 
 
 # ----------------------------------------------------------------- strategy
@@ -695,41 +701,14 @@ def strategy_to_json(m: Mdp, strategy: Strategy, pairs=None) -> dict:
     return {"type": "memoryless", "states": states}
 
 
-def _argmax_actions(m: Mdp, vv: ValueVector, q: int, approx) -> list[int]:
-    """The value-optimal actions of q.  All actions are scored in floats
-    (`approx` holds vv's values as floats) and those within _ARGMAX_TOL of
-    the best are kept; in exact mode the ones left are then compared over
-    fractions, which float rounding cannot mislead at that margin."""
-    scores = [
-        sum(float(p) * approx[s] for s, p in dist) for dist in m.transitions[q]
-    ]
-    best = max(scores)
-    near = [ai for ai, val in enumerate(scores) if val >= best - _ARGMAX_TOL]
-    if not vv.exact or len(near) == 1:
-        return near
-    exact = {
-        ai: sum((p * vv[s] for s, p in m.dist(q, ai)), Fraction(0)) for ai in near
-    }
-    top = max(exact.values())
-    return [ai for ai in near if exact[ai] == top]
-
-
 def extract_reach_strategy(
     m: Mdp, goal: frozenset[int], vv: ValueVector
 ) -> tuple[int, ...]:
-    """One action per state: a value-optimal action whose support moves
-    strictly closer to the goal, found by one backward breadth-first search
-    from the goal through the optimal actions of positive-value states (see
-    `_attract`).  Zero-value and goal states, and positive-value states the
-    search misses (float rounding), take their first action."""
-    approx = [float(v) for v in vv.values] if vv.exact else vv.values
-    candidates = {
-        q: _argmax_actions(m, vv, q, approx)
-        for q in m.states()
-        if q not in goal and (vv[q] > 0 if vv.exact else vv[q] > _ARGMAX_TOL)
-    }
-    choice = _attract(m, goal, candidates)
-    return tuple(choice.get(q, 0) for q in m.states())
+    """One action per state: the policy that proved `vv`, the result of
+    `max_reach(m, goal)`.  Its actions on value-1 states move strictly
+    closer to the goal; goal and zero-value states take their first
+    action."""
+    return tuple(vv.policy.get(q, 0) for q in m.states())
 
 
 # ---------------------------------------------------------------- synthesis

@@ -77,7 +77,13 @@ def dba_to_dca(d: Automaton) -> Automaton:
 
 def nca_to_pa(a: Automaton) -> ProbAutomaton:
     """Uniform-weight probabilistic automaton over the same transitions;
-    marks carry over and keep their infinitely-often reading."""
+    marks carry over and keep their infinitely-often reading.
+
+    `a` must be complete.  It was checked when built, and its k successors
+    of a cell get weight 1/k each, so the PA is built without a second
+    check."""
+    if not a.is_complete:
+        raise AutomatonError("nca_to_pa needs a complete automaton")
     weight: dict[int, Fraction] = {}  # one Fraction(1, k) per out-degree k
     rows = []
     for cells in a.transitions:
@@ -88,11 +94,11 @@ def nca_to_pa(a: Automaton) -> ProbAutomaton:
                 weight[k] = Fraction(1, k)
             row.append(tuple((s, weight[k]) for s in succs))
         rows.append(tuple(row))
-    transitions = tuple(rows)
-    return ProbAutomaton(
+    return _unchecked(
+        ProbAutomaton,
         alphabet=a.alphabet,
         initial=a.initial,
-        transitions=transitions,
+        transitions=tuple(rows),
         marked=a.marked,
         meta=a.meta,
     )
@@ -215,6 +221,8 @@ def pa_from_json(data: dict) -> ProbAutomaton:
     from .ltl import AtomSet
 
     try:
+        if not isinstance(data["atoms"], list):
+            raise TypeError(f"atoms {data['atoms']!r} are not a list")
         alphabet = Alphabet(
             AtomSet(tuple(data["atoms"])), int(data.get("index_arity", 1))
         )

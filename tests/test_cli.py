@@ -241,6 +241,22 @@ def test_bad_input_reports_error_without_traceback(
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("flag", [("--max-len", "0"), ("--lassos", "-5")])
+def test_check_equiv_rejects_out_of_range_counts(flag, fixture_file):
+    shrink = fixture_file("shrink3to2.hoa")
+    src = os.path.dirname(os.path.dirname(gfmredux.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfmredux.cli", "check-equiv", shrink, shrink, *flag],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage:")
+    assert f"error: argument {flag[0]}: {flag[1]} is below" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_bench_outputs_are_stable(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({

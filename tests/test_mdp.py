@@ -116,6 +116,7 @@ def test_mdp_json_malformed_entries_raise_mdp_error(coin, spoil):
     (lambda d: d["states"][0]["actions"][0]["to"][0].__setitem__(0, "1"),
      "state id '1' is not an integer"),
     (lambda d: d["states"][0].update(label="ab"), "label 'ab' is not a list"),
+    (lambda d: d.update(atoms="ab"), "atoms 'ab' are not a list"),
 ])
 def test_mdp_json_rejects_non_integer_ids_and_string_labels(coin, spoil, message):
     doc = json.loads(json.dumps(mdp_to_json(coin)))
@@ -389,11 +390,15 @@ def test_induce_mc_and_max_reach_against_enumeration():
         assert all(
             abs(float(w) - v) <= 1e-9 for w, v in zip(want, approx.values)
         ), seed
-        picks = extract_reach_strategy(m, goal, vv)
-        strategy = Strategy(tuple(((ai, Fraction(1)),) for ai in picks))
+        exact_strategy, float_strategy = (
+            Strategy(tuple(((ai, Fraction(1)),) for ai in picks))
+            for picks in (extract_reach_strategy(m, goal, vv),
+                          extract_reach_strategy(m, goal, approx))
+        )
         for q in m.states():
             start = dataclasses.replace(prod, mdp=dataclasses.replace(m, initial=q))
-            assert induce_mc(start, strategy) == want[q], (seed, q)
+            assert induce_mc(start, exact_strategy) == want[q], (seed, q)
+            assert abs(induce_mc(start, float_strategy) - want[q]) <= 1e-9, (seed, q)
 
 
 def test_exact_policy_iteration_from_a_blind_start(monkeypatch):

@@ -15,8 +15,10 @@ from gfmredux.automata import (
     pa_lasso_prob,
 )
 from gfmredux import gfg_min
+from gfmredux.gf_direct import gf_to_gfm
 from gfmredux.hoa import from_hoa
-from gfmredux.ltl import AtomSet
+from gfmredux.ltl import AtomSet, atoms_named, parse, to_string
+from gfmredux.patterns import gen_pattern
 from gfmredux.redux import dba_to_dca, gfm_to_dba, nca_to_pa, pa_from_json, pa_to_json, redux
 
 
@@ -112,6 +114,30 @@ def test_nca_to_pa_uniform_rows(fixture_text):
             assert all(p == Fraction(1, len(dist)) for _, p in dist)
 
 
+def test_nca_to_pa_of_checked_inputs_passes_the_full_check():
+    """nca_to_pa builds its PA without ProbAutomaton.__post_init__; running
+    it on PAs of redux results and of complete GFM automata must find
+    nothing, and an incomplete input must still be refused."""
+    ap = atoms_named("a", "b", "a1", "a2")
+    for text in ["GF a", "GF(a & Xb)"] + [
+        to_string(gen_pattern(family, (n,)))
+        for family, n in (("TDR", 2), ("TDR", 3), ("LIB", 2))
+    ]:
+        gfm = gf_to_gfm(parse(text, ap), ap)
+        redux(gfm).pa.__post_init__()
+        nca_to_pa(complete(gfm)).__post_init__()
+    rng = random.Random(41)
+    refused = 0
+    for _ in range(60):
+        a = _random_nba(rng)
+        nca_to_pa(complete(a)).__post_init__()
+        if not a.is_complete:
+            refused += 1
+            with pytest.raises(AutomatonError, match="needs a complete automaton"):
+                nca_to_pa(a)
+    assert refused > 10
+
+
 def test_redux_stage_report(fixture_text):
     res = redux(from_hoa(fixture_text("commit_blind.hoa")))
     names = [s.name for s in res.report.stages]
@@ -192,6 +218,7 @@ def _first_move(doc):
     (lambda d: d.update(initial=0.9), "state id 0.9 is not an integer"),
     (lambda d: d.update(initial=True), "state id True is not an integer"),
     (lambda d: d.pop("atoms"), "document: 'atoms'"),
+    (lambda d: d.update(atoms="ab"), "atoms 'ab' are not a list"),
     (lambda d: d["states"].__setitem__(0, "rows"), "rows 'rows' are not a list"),
     (lambda d: d["states"][0].__setitem__(0, "moves"), "moves 'moves' are not a list"),
     (lambda d: d["states"][0][0].__setitem__(0, [0, "1"]), "move [0, '1'] is not"),

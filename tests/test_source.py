@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import gfmredux
@@ -97,6 +98,39 @@ def test_no_unused_imports_in_package():
     assert found == {}
 
 
+def non_stdlib_imports(tree: ast.Module) -> list[str]:
+    """Absolute imports of modules outside the standard library."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_non_stdlib_import_scan_finds_them():
+    tree = ast.parse("from __future__ import annotations\nimport os, numpy as np\n"
+                     "from . import ltl\nfrom .exact import solve_linear\n\n"
+                     "def f():\n    from numpy.linalg import solve\n"
+                     "    import xml.dom\n")
+    assert non_stdlib_imports(tree) == ["numpy (line 2)", "numpy.linalg (line 7)"]
+
+
+def test_package_imports_only_the_standard_library():
+    """The library is pure Python with no runtime dependencies."""
+    found = {
+        path.name: bad
+        for path in sorted(SRC.glob("*.py"))
+        if (bad := non_stdlib_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
+
+
 def test_benchmark_traces_only_functions_that_exist():
     """perfbench/run.py --trace 1 wraps each `module.function` of TRACED in
     perfbench/tracing.py; each must be defined in that gfmredux module."""
@@ -117,13 +151,14 @@ def test_benchmark_traces_only_functions_that_exist():
 
 
 # The only functions that may build a value without its __post_init__ checks:
-# products of a checked MDP and automaton, and copies of a checked automaton
-# that change only its meta or its acceptance reading.  Input read from
-# outside (mdp_from_json, pa_from_json, from_hoa) and public constructors
-# must always be checked.
+# products of a checked MDP and automaton, copies of a checked automaton
+# that change only its meta or its acceptance reading, and the uniform
+# weighting of a checked complete automaton.  Input read from outside
+# (mdp_from_json, pa_from_json, from_hoa) and public constructors must
+# always be checked.
 UNCHECKED_CALLERS = {
     "mdp._product", "mdp.index_mdp",
-    "redux.redux", "redux.dba_to_dca",
+    "redux.redux", "redux.dba_to_dca", "redux.nca_to_pa",
     "gfg_min.minimize",
 }
 
