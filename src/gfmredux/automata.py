@@ -5,10 +5,10 @@ plus an optional transition index used by the indexed-alphabet pipeline).
 Acceptance lives on transitions: `marked` holds (state, letter, successor)
 triples.  kind is "buchi" (visit marks infinitely often), "cobuchi"
 (eventually avoid marks forever), or "finite" (NFA with final_states).
-The pair products behind language inclusion and language classes read each
-automaton through integer tables over its letter classes (letters with the
-same successors and marks from every state, one representative each) and
-number a pair (p, q) as the integer p * n2 + q.
+The pair products behind language inclusion, language classes and safe
+containment read each automaton through integer tables over its letter
+classes (letters with the same successors and marks from every state, one
+representative each) and number a pair (p, q) as the integer p * n2 + q.
 """
 
 from __future__ import annotations
@@ -486,9 +486,15 @@ def dcw_counterexample(a1: Automaton, a2: Automaton) -> LassoWord | None:
 # -------------------------------------------- language classes of a DCW
 
 @lru_cache(maxsize=64)
-def lang_partition(a: Automaton) -> tuple[int, ...]:
-    """Class ids (0-based, by lowest member state) of language-equivalent
-    states of a deterministic complete co-Buchi automaton."""
+def _pair_relations(a: Automaton) -> tuple[tuple[int, ...], frozenset[int]]:
+    """Language classes and safe non-containment of a deterministic complete
+    co-Buchi automaton, both read off one product of state pairs.
+
+    The first result gives each state its class id (0-based, by lowest
+    member state), as `lang_partition` returns it.  The second holds the
+    pairs (p, q), as the integers p * n + q, such that some finite word is
+    safe (crosses no mark) from p but not from q.
+    """
     _require_dcw(a, "automaton")
     t = a._tables
     if t.det is None:
@@ -497,8 +503,9 @@ def lang_partition(a: Automaton) -> tuple[int, ...]:
     classes = range(len(t.members))
 
     # pair (p, q) is the integer p * n + q; `safe` keeps the moves unmarked
-    # from p, and `hot` those of them that are marked from q
-    full, safe, hot = [], [], []
+    # from p, `hot` those of them that are marked from q, and `parted` the
+    # pairs that have such a move
+    full, safe, hot, parted = [], [], [], []
     for p in range(n):
         sp = [s * n for s in det[p]]
         free = [c for c in classes if not unsafe[p] >> c & 1]
@@ -507,15 +514,17 @@ def lang_partition(a: Automaton) -> tuple[int, ...]:
             safe.append({sp[c] + sq[c] for c in free})
             if unsafe[q] & ~unsafe[p]:
                 u = p * n + q
+                parted.append(u)
                 hot.extend((u, sp[c] + sq[c]) for c in free if unsafe[q] >> c & 1)
-    comps = strongly_connected_components(range(n * n), safe.__getitem__)
+    pairs = range(n * n)
+    comps = strongly_connected_components(pairs, safe.__getitem__)
     comp_of = component_of(comps)
     # a witness node lies in a component that holds a hot move
     witness = {comp_of[u] for u, v in hot if comp_of[u] == comp_of[v]}
     witness_nodes = [u for cid in witness for u in comps[cid]]
 
     # L(p) not<= L(q) iff (p,q) reaches a witness node in the full product
-    bad = coreach(range(n * n), full.__getitem__, witness_nodes)
+    bad = coreach(pairs, full.__getitem__, witness_nodes)
 
     rep = list(range(n))
     for p in range(n):
@@ -530,7 +539,16 @@ def lang_partition(a: Automaton) -> tuple[int, ...]:
         if r not in ids:
             ids[r] = len(ids)
         out.append(ids[r])
-    return tuple(out)
+    # safe(p) not<= safe(q) iff (p,q) reaches a parted pair along moves safe
+    # from p; until it does, those moves are safe from q as well
+    return tuple(out), frozenset(coreach(pairs, safe.__getitem__, parted))
+
+
+def lang_partition(a: Automaton) -> tuple[int, ...]:
+    """Class ids (0-based, by lowest member state) of language-equivalent
+    states of a deterministic complete co-Buchi automaton, from the pair
+    product that also gives safe containment (`_pair_relations`)."""
+    return _pair_relations(a)[0]
 
 
 # --------------------------------------------------- probabilistic automata

@@ -11,26 +11,25 @@ transition-rule argument; a rewrite that fails the check is simply skipped.
 The separating lasso of each failed check is kept, and a later rewrite whose
 run on a kept lasso disagrees with the original is skipped without a check.
 Everything stays deterministic, which keeps all checks polynomial.  Language
-classes, safe containment and the equivalence checks are integer pair
-products over letter classes (see `automata`), so an indexed alphabet costs
-one letter per class of letters that act alike, not one per index.
+classes and safe containment are read off one integer pair product per
+automaton (`automata._pair_relations`), and the equivalence checks are pair
+products too, all over letter classes, so an indexed alphabet costs one
+letter per class of letters that act alike, not one per index.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache
 from itertools import chain
 
 from .automata import (
-    Alphabet,
     Automaton,
     AutomatonError,
     LassoWord,
+    _pair_relations,
     _unchecked,
     build_automaton,
     dcw_counterexample,
-    lang_partition,
     prune_unreachable,
 )
 from .graph import component_of, coreach, strongly_connected_components
@@ -81,32 +80,10 @@ def normalize_safety(d: Automaton) -> Automaton:
     return dataclasses.replace(d, marked=d.marked | extra)
 
 
-@lru_cache(maxsize=256)
-def _safe_noncontainment(d: Automaton) -> frozenset[int]:
-    """Pairs (p, q), as the integers p * n + q, such that safe(p) is not a
-    subset of safe(q)."""
-    t = d._tables
-    n, det, unsafe = d.n_states, t.det, t.unsafe
-    classes = range(len(t.members))
-    both_safe = []
-    bad = []  # pairs with a letter safe from p but not from q
-    for p in range(n):
-        sp = [s * n for s in det[p]]
-        free = [c for c in classes if not unsafe[p] >> c & 1]
-        for q, sq in enumerate(det):
-            if unsafe[q] & ~unsafe[p]:
-                bad.append(p * n + q)
-                both_safe.append(())
-            else:
-                both_safe.append({sp[c] + sq[c] for c in free})
-    # and every pair that reaches one along words safe from both
-    return frozenset(coreach(range(n * n), both_safe.__getitem__, bad))
-
-
 def safe_contained(d: Automaton, p: int, q: int) -> bool:
     """Is every finite word that is safe from p also safe from q?"""
     _require_dcw_complete(d, "safe_contained")
-    return p * d.n_states + q not in _safe_noncontainment(d)
+    return p * d.n_states + q not in _pair_relations(d)[1]
 
 
 # ----------------------------------------------------------- determinisation
@@ -253,8 +230,7 @@ def minimize(d: Automaton) -> Automaton:
         changed = False
         if cur.n_states <= 1:
             break
-        part = lang_partition(cur)
-        noncont = _safe_noncontainment(cur)
+        part, noncont = _pair_relations(cur)
         n = cur.n_states
         for q in cur.states():
             # same-class states whose safe language covers q's, equal first
@@ -284,8 +260,7 @@ def minimize(d: Automaton) -> Automaton:
                 changed = True
                 break
 
-    part = lang_partition(cur)
-    cur = _unchecked(Automaton, cur, meta={"lang_class": part})
+    cur = _unchecked(Automaton, cur, meta={"lang_class": _pair_relations(cur)[0]})
     ce = _equiv_dcw(cur, original)
     if ce is not None:  # pragma: no cover - every merge was checked
         raise MinimizeError(f"minimisation changed the language: {ce}", ce)
@@ -315,32 +290,3 @@ def semantically_deterministic(a: Automaton, lang_class) -> bool:
             if len(ids) > 1:
                 return False
     return True
-
-
-# --------------------------------------------------------------- idempotence
-
-def lift_clamped(a: Automaton) -> Automaton:
-    """Deterministic view of a complete automaton where each letter splits
-    by successor rank; surplus ranks clamp to the last successor instead of
-    a fresh sink, so no new language class appears.  Lets the pipeline be
-    re-run on its own output for idempotence checks."""
-    if not a.is_complete:
-        raise AutomatonError("lift_clamped needs a complete automaton")
-    k2 = max(
-        len(a.succ(q, letter)) for q in a.states() for letter in a.alphabet.letters()
-    )
-    base = a.alphabet
-    alphabet = Alphabet(base.atoms, base.index_arity * k2)
-    edges = []
-    for q in a.states():
-        for letter in base.letters():
-            succs = a.succ(q, letter)
-            for j in range(1, k2 + 1):
-                s = succs[min(j, len(succs)) - 1]
-                marked = (q, letter, s) in a.marked
-                lifted = alphabet.letter(
-                    base.mask(letter), (base.index(letter) - 1) * k2 + j
-                )
-                edges.append((q, lifted, s, marked))
-    return build_automaton(alphabet, a.n_states, a.initial, a.kind, edges,
-                           meta=a.meta)

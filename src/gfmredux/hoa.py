@@ -10,9 +10,10 @@ header and read the automaton over the extended AP set.
 
 from __future__ import annotations
 
+import operator
 import re
 
-from .automata import Alphabet, Automaton, AutomatonError, build_automaton
+from .automata import Alphabet, Automaton, AutomatonError
 from .ltl import AtomSet
 
 
@@ -286,7 +287,11 @@ def from_hoa(text: str) -> Automaton:
     alphabet = Alphabet(atoms, arity)
     nbits = len(ap_names)
 
-    edges = []
+    # cells[q][letter] maps each successor to its mark.  A (src, letter, dst)
+    # listed twice collapses to one transition whose mark resolves
+    # angelically: Buchi runs prefer marked, co-Buchi runs unmarked
+    cells = [[{} for _ in alphabet.letters()] for _ in range(n_states)]
+    merge = operator.or_ if kind == "buchi" else operator.and_
     state = None
     # letters of each distinct label text, parsed and evaluated once
     label_letters: dict[str, list[int]] = {}
@@ -348,22 +353,21 @@ def from_hoa(text: str) -> Automaton:
                         )
                     letters.append(alphabet.letter(ext & ((1 << n_atoms) - 1), idx))
                 label_letters[label_text] = letters
-            edges.extend((state, letter, dst, marked) for letter in letters)
+            row = cells[state]
+            for letter in letters:
+                cell = row[letter]
+                cell[dst] = merge(cell[dst], marked) if dst in cell else marked
         else:
             raise HoaError(f"unexpected body line: {ln!r}")
 
-    # duplicate (src, letter, dst) entries collapse to one transition; the
-    # mark resolves angelically (Buchi runs prefer marked, co-Buchi unmarked)
-    flags: dict[tuple[int, int, int], bool] = {}
-    for (q, letter, dst, marked) in edges:
-        key = (q, letter, dst)
-        if key in flags:
-            flags[key] = (flags[key] or marked) if kind == "buchi" \
-                else (flags[key] and marked)
-        else:
-            flags[key] = marked
-    merged = [(q, letter, dst, m) for (q, letter, dst), m in flags.items()]
+    trans = tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells)
+    marked = frozenset(
+        (q, letter, dst)
+        for q, row in enumerate(cells)
+        for letter, cell in enumerate(row)
+        for dst, hot in cell.items() if hot
+    )
     try:
-        return build_automaton(alphabet, n_states, start, kind, merged)
+        return Automaton(alphabet, kind, start, trans, marked)
     except AutomatonError as exc:
         raise HoaError(str(exc)) from exc

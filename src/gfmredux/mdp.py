@@ -7,11 +7,11 @@ by the product action, so the strategy resolves the automaton choices.
 All quantitative work can run exactly over fractions or in floats.
 
 An MDP built by a caller or read from JSON is checked by `Mdp.__post_init__`.
-Products (`product_nba`, `product_pa`) and indexed copies (`index_mdp`) of
-checked inputs are built without that check: their successors are sorted and
-unique by construction, and each distribution is a checked MDP distribution
-or its product with a checked automaton distribution, so it sums to 1;
-checking them again would repeat that work on every solve.
+Products (`product_nba`, `product_pa`) of checked inputs are built without
+that check: their successors are sorted and unique by construction, and each
+distribution is the product of a checked MDP distribution with a checked
+automaton distribution, so it sums to 1; checking them again would repeat
+that work on every solve.
 """
 
 from __future__ import annotations
@@ -189,32 +189,6 @@ def mdp_to_json(m: Mdp) -> dict:
 
 
 # ------------------------------------------------------------ constructions
-
-def index_mdp(m: Mdp, arity: int) -> Mdp:
-    """Split every action into `arity` copies named name#1..name#arity.
-
-    The copies share the action's distribution; in automaton products the
-    copy number picks the letter rank of an indexed alphabet.
-    """
-    if arity < 1:
-        raise MdpError("index arity must be at least 1")
-    names = tuple(
-        tuple(f"{nm}#{i}" for nm in row for i in range(1, arity + 1))
-        for row in m.action_names
-    )
-    trans = tuple(
-        tuple(dist for dist in row for _ in range(arity))
-        for row in m.transitions
-    )
-    return _unchecked(
-        Mdp,
-        alphabet=m.alphabet,
-        initial=m.initial,
-        action_names=names,
-        transitions=trans,
-        labels=m.labels,
-    )
-
 
 @dataclass(frozen=True)
 class ProductMdp:
@@ -775,61 +749,6 @@ def induce_mc(prod: ProductMdp, strategy: Strategy) -> Fraction:
         m.states(), lambda q: edges[q].items(), lambda q, s: (q, s) in hot
     )
     return value[m.initial]
-
-
-# ------------------------------------------------------- quotient shortcut
-
-@dataclass(frozen=True)
-class QuotientResult:
-    value: object
-    n_classes: int
-    goal: frozenset[int]
-
-
-def quotient_optimize(
-    m: Mdp, pa: ProbAutomaton, dba: Automaton, exact: bool = True
-) -> QuotientResult:
-    """Reachability with the goal widened by automaton language classes.
-
-    Both automata must come from the same reduction run (checked through
-    their shared meta token): then any product state whose automaton
-    component is language-equivalent to one inside an accepting end
-    component is itself surely winning, so the goal grows from end
-    component states to their class closure before the reachability solve.
-    """
-    meta_pa = pa.meta or {}
-    meta_dba = dba.meta or {}
-    run_pa = meta_pa.get("redux_id") if isinstance(meta_pa, dict) else None
-    run_dba = meta_dba.get("redux_id") if isinstance(meta_dba, dict) else None
-    if run_pa is None or run_pa != run_dba:
-        raise MdpError(
-            "quotient_optimize needs a probabilistic automaton and DBA "
-            "from the same reduction run"
-        )
-    classes = meta_pa.get("lang_class")
-    if classes is None:
-        raise MdpError("probabilistic automaton lacks language classes")
-
-    prod = product_pa(m, pa)
-    mecs = mec_decompose(prod.mdp, prod.marked)
-    winning_pairs = set()
-    for mec in mecs:
-        if not mec.accepting:
-            continue
-        for p in mec.states:
-            s, q = prod.pairs[p]
-            winning_pairs.add((s, classes[q]))
-    goal = frozenset(
-        p
-        for p, (s, q) in enumerate(prod.pairs)
-        if (s, classes[q]) in winning_pairs
-    )
-    vv = max_reach(prod.mdp, goal, exact=exact)
-    return QuotientResult(
-        value=vv[prod.mdp.initial],
-        n_classes=len(set(classes)),
-        goal=goal,
-    )
 
 
 # ------------------------------------------------------------ random models

@@ -4,10 +4,12 @@ Four steps: complete the automaton and determinise it over an indexed
 alphabet (each letter splits into (letter, rank) with the rank choosing a
 successor), flip the acceptance to co-Buchi, reduce the deterministic
 co-Buchi automaton, and read the result back as a 0/1 probabilistic
-automaton with uniform transition weights.  Whether the input really is
-good for MDPs is the caller's claim; the pipeline preserves the automaton
-language either way, but the probabilistic reading is only meaningful for
-good-for-MDP inputs.
+automaton with uniform transition weights.  The minimised automaton and
+the probabilistic automaton carry the language class of each state in their
+meta (`lang_class`, which the PA JSON keeps), so one input always gives the
+same PA document.  Whether the input really is good for MDPs is the
+caller's claim; the pipeline preserves the automaton language either way,
+but the probabilistic reading is only meaningful for good-for-MDP inputs.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .automata import (
     complete,
 )
 from .gfg_min import minimize
-
-_run_ids = itertools.count(1)
 
 
 def gfm_to_dba(a: Automaton) -> Automaton:
@@ -116,13 +116,11 @@ class StageInfo:
 class ReduxReport:
     stages: tuple[StageInfo, ...]
     minimized: Automaton
-    run_id: int
     gfm_asserted_by_caller: bool = True
 
     def to_json(self) -> dict:
         return {
             "gfm_asserted_by_caller": self.gfm_asserted_by_caller,
-            "run_id": self.run_id,
             "stages": [
                 {
                     "name": s.name,
@@ -145,11 +143,7 @@ def redux(a: Automaton) -> ReduxResult:
     """Run the four-step pipeline on a Buchi automaton the caller asserts
     to be good for MDPs.  Returns the 0/1 probabilistic automaton, the
     intermediate indexed deterministic Buchi automaton, and a stage report.
-
-    The probabilistic automaton and the DBA share a `redux_id` meta token;
-    consumers that require both to stem from one run can check it.
     """
-    run_id = next(_run_ids)
     stages = []
 
     def record(name, aut, t0):
@@ -170,15 +164,10 @@ def redux(a: Automaton) -> ReduxResult:
     record("minimized", small, t0)
 
     t0 = time.perf_counter()
-    lang_class = small.meta["lang_class"]
-    small = _unchecked(
-        Automaton, small, meta={"lang_class": lang_class, "redux_id": run_id}
-    )
     pa = nca_to_pa(small)
     record("pa", pa, t0)
 
-    dba = _unchecked(Automaton, dba, meta={"redux_id": run_id})
-    report = ReduxReport(stages=tuple(stages), minimized=small, run_id=run_id)
+    report = ReduxReport(stages=tuple(stages), minimized=small)
     return ReduxResult(pa=pa, dba=dba, report=report)
 
 
@@ -207,11 +196,8 @@ def pa_to_json(pa: ProbAutomaton) -> dict:
         "initial": pa.initial,
         "states": states,
     }
-    if isinstance(pa.meta, dict):
-        if "lang_class" in pa.meta:
-            doc["lang_class"] = list(pa.meta["lang_class"])
-        if "redux_id" in pa.meta:
-            doc["redux_id"] = pa.meta["redux_id"]
+    if isinstance(pa.meta, dict) and "lang_class" in pa.meta:
+        doc["lang_class"] = list(pa.meta["lang_class"])
     return doc
 
 
@@ -223,16 +209,15 @@ def pa_from_json(data: dict) -> ProbAutomaton:
     try:
         if not isinstance(data["atoms"], list):
             raise TypeError(f"atoms {data['atoms']!r} are not a list")
-        alphabet = Alphabet(
-            AtomSet(tuple(data["atoms"])), int(data.get("index_arity", 1))
-        )
+        arity = data.get("index_arity", 1)
+        if not isinstance(arity, int) or isinstance(arity, bool):
+            raise TypeError(f"index_arity {arity!r} is not an integer")
+        alphabet = Alphabet(AtomSet(tuple(data["atoms"])), arity)
         initial = _state_id(data["initial"])
         states = list(data["states"])
         meta = {}
         if "lang_class" in data:
             meta["lang_class"] = tuple(data["lang_class"])
-        if "redux_id" in data:
-            meta["redux_id"] = data["redux_id"]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise AutomatonError(f"malformed PA document: {exc}") from None
     transitions = []

@@ -281,3 +281,34 @@ def _gauss(rows, k):
                 factor = rows[r][col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return [rows[r][k] for r in range(k)]
+
+
+# ------------------------------------------ safe containment by joint runs
+
+def brute_safe_contained(d):
+    """Every pair (p, q) of states of a deterministic complete co-Buchi
+    automaton such that some finite word is safe (crosses no mark) from p
+    but not from q, i.e. safe(p) is not a subset of safe(q).  The runs from
+    all states read one word together, a letter at a time; a node holds, per
+    start state, the run's current state and whether it is still unmarked,
+    and each node reachable from the empty word is visited once."""
+    n = len(d.transitions)
+    letters = range(len(d.transitions[0]))
+    start = tuple((q, True) for q in range(n))
+    seen = {start}
+    todo = [start]
+    out = set()
+    while todo:
+        node = todo.pop()
+        out.update((p, q) for p in range(n) for q in range(n)
+                   if node[p][1] and not node[q][1])
+        for x in letters:
+            nxt = []
+            for s, unmarked in node:
+                (t,) = d.transitions[s][x]
+                nxt.append((t, unmarked and (s, x, t) not in d.marked))
+            nxt = tuple(nxt)
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return out

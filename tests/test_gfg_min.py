@@ -18,7 +18,6 @@ from gfmredux.gfg_min import (
     _redirect,
     _run_accepts,
     alive_states,
-    lift_clamped,
     minimize,
     nca_determinize,
     nca_lang_equiv,
@@ -31,6 +30,7 @@ from gfmredux.hoa import from_hoa
 from gfmredux.ltl import AtomSet
 from gfmredux.patterns import gen_pattern
 from gfmredux.redux import dba_to_dca
+from oracles import brute_safe_contained
 
 ALPH = Alphabet(AtomSet(("a",)), 1)
 
@@ -135,6 +135,25 @@ def test_safe_contained_hand_case():
     assert safe_contained(DELAY, 3, 2)
     assert not safe_contained(DELAY, 2, 3)
     assert all(safe_contained(DELAY, q, q) for q in DELAY.states())
+
+
+def test_safe_contained_matches_joint_runs():
+    rng = random.Random(13)
+    counts = [0, 0]
+    for _ in range(150):
+        al = Alphabet(AtomSet(()), rng.randint(2, 4))
+        n = rng.randint(2, 5)
+        edges = [
+            (q, x, rng.randrange(n), rng.random() < 0.3)
+            for q in range(n) for x in al.letters()
+        ]
+        d = build_automaton(al, n, 0, "cobuchi", edges)
+        bad = brute_safe_contained(d)
+        for p in d.states():
+            for q in d.states():
+                assert safe_contained(d, p, q) == ((p, q) not in bad)
+                counts[(p, q) in bad] += 1
+    assert min(counts) > 300
 
 
 def _random_dcw(rng):
@@ -257,39 +276,3 @@ def test_nca_lang_equiv_witness_is_real():
     ce = nca_lang_equiv(FLIP, CONTAINS)
     assert ce is not None
     assert lasso_member(FLIP, ce) != lasso_member(CONTAINS, ce)
-
-
-def test_lift_clamped_identity_on_deterministic():
-    m = minimize(DELAY)
-    lid = lift_clamped(m)
-    assert lid.transitions == m.transitions
-    assert lid.marked == m.marked
-    assert lid.alphabet == m.alphabet
-
-
-def test_lift_clamped_resolves_nondeterminism():
-    lifted = lift_clamped(BISTABLE)
-    assert lifted.is_deterministic and lifted.is_complete
-    assert lifted.alphabet.index_arity == 2
-    rng = random.Random(5)
-    base, big = BISTABLE.alphabet, lifted.alphabet
-    for _ in range(300):
-        pre = tuple(rng.randrange(big.size) for _ in range(rng.randint(0, 4)))
-        cyc = tuple(rng.randrange(big.size) for _ in range(rng.randint(1, 4)))
-        wl = LassoWord(pre, cyc)
-        wb = LassoWord(
-            tuple(base.letter(big.mask(x), 1) for x in pre),
-            tuple(base.letter(big.mask(x), 1) for x in cyc),
-        )
-        # each lifted run picks one concrete run of the original
-        if lasso_member(lifted, wl):
-            assert lasso_member(BISTABLE, wb)
-
-
-def test_lift_clamped_needs_complete():
-    incomplete = Automaton(
-        alphabet=ALPH, kind="cobuchi", initial=0,
-        transitions=(((0,), ()),), marked=frozenset(),
-    )
-    with pytest.raises(AutomatonError, match="complete"):
-        lift_clamped(incomplete)

@@ -179,6 +179,9 @@ def test_duplicate_edge_mark_collapse_depends_on_kind():
     cobuchi = buchi.replace("Inf(0)", "Fin(0)")
     b = from_hoa(cobuchi)
     assert not b.marked
+    # each letter of a line merges with what that letter had before
+    c = from_hoa(cobuchi.replace("[t] 0 {0}\n[t] 0", "[!0] 0\n[t] 0 {0}"))
+    assert c.marked == {(0, 1, 0)}
 
 
 def test_version_and_body_required():

@@ -18,7 +18,6 @@ from gfmredux.mdp import (
     Strategy,
     extract_reach_strategy,
     gen_random_mdp,
-    index_mdp,
     induce_mc,
     max_reach,
     mdp_from_json,
@@ -26,7 +25,6 @@ from gfmredux.mdp import (
     mec_decompose,
     product_nba,
     product_pa,
-    quotient_optimize,
     strategy_to_json,
     synthesize,
 )
@@ -162,9 +160,9 @@ PRODUCT_ATOMS = ("a", "b", "a1", "a2")
 
 def test_products_of_checked_inputs_pass_the_full_check():
     """Products are built without Mdp.__post_init__; running it on them must
-    find nothing, for every route and for indexed copies.  The redux PAs
-    are deterministic, so uniform-weight PAs of the nondeterministic GFM
-    automata add products of fractional automaton weights."""
+    find nothing, for every route.  The redux PAs are deterministic, so
+    uniform-weight PAs of the nondeterministic GFM automata add products of
+    fractional automaton weights."""
     ap = atoms_named(*PRODUCT_ATOMS)
     autos = []
     for text in ["GF a"] + [to_string(gen_pattern(family, (n,)))
@@ -176,8 +174,6 @@ def test_products_of_checked_inputs_pass_the_full_check():
                for dist in row for _, p in dist)
     for seed in range(20):
         m = gen_random_mdp(random.Random(seed), atoms=PRODUCT_ATOMS)
-        for arity in (1, 2, 3):
-            index_mdp(m, arity).__post_init__()
         for gfm, dba, pa, uniform in autos:
             for prod in (product_nba(m, gfm), product_nba(m, dba),
                          product_pa(m, pa), product_pa(m, uniform)):
@@ -237,21 +233,6 @@ def test_redux_pa_route_matches(coin, fixture_text):
     r = redux(from_hoa(fixture_text("commit_blind.hoa")))
     res = synthesize(product_pa(coin, r.pa))
     assert res.value == Fraction(1, 2)
-
-
-def test_quotient_optimize(coin, fixture_text):
-    r = redux(from_hoa(fixture_text("commit_blind.hoa")))
-    q = quotient_optimize(coin, r.pa, r.dba)
-    assert q.value == Fraction(1, 2)
-    assert q.n_classes == 4
-    assert len(q.goal) == 2
-
-
-def test_quotient_optimize_requires_matching_run(coin, fixture_text):
-    blind = from_hoa(fixture_text("commit_blind.hoa"))
-    r1, r2 = redux(blind), redux(blind)
-    with pytest.raises(MdpError, match="same reduction run"):
-        quotient_optimize(coin, r1.pa, r2.dba)
 
 
 def test_strategy_json_shape(coin, fixture_text):
@@ -420,11 +401,3 @@ def test_gen_random_mdp_seed_determinism():
     for q in a.states():
         for ai in range(a.n_actions(q)):
             assert sum(p for _, p in a.dist(q, ai)) == 1
-
-
-def test_index_mdp(coin):
-    im = index_mdp(coin, 2)
-    assert im.action_names[0] == ("go#1", "go#2")
-    assert im.transitions[0][0] == im.transitions[0][1]
-    with pytest.raises(MdpError, match="at least 1"):
-        index_mdp(coin, 0)

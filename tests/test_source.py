@@ -1,7 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import gfmredux
 
 SRC = Path(gfmredux.__file__).parent
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -157,9 +160,7 @@ def test_benchmark_traces_only_functions_that_exist():
 # (mdp_from_json, pa_from_json, from_hoa) and public constructors must
 # always be checked.
 UNCHECKED_CALLERS = {
-    "mdp._product", "mdp.index_mdp",
-    "redux.redux", "redux.dba_to_dca", "redux.nca_to_pa",
-    "gfg_min.minimize",
+    "mdp._product", "redux.dba_to_dca", "redux.nca_to_pa", "gfg_min.minimize",
 }
 
 
@@ -219,3 +220,54 @@ def test_unchecked_construction_only_from_checked_inputs():
         for path in sorted(SRC.glob("*.py"))
     }
     assert unchecked_callers(trees) == UNCHECKED_CALLERS
+
+
+def _members(obj, part: str) -> list:
+    """What `part` names on obj: its attribute, or a bare marker for a
+    dataclass field that has no class-level default."""
+    if hasattr(obj, part):
+        return [getattr(obj, part)]
+    if dataclasses.is_dataclass(obj) and part in {f.name for f in dataclasses.fields(obj)}:
+        return [object()]
+    return []
+
+
+def unresolved_library_names(readme: str) -> list[str]:
+    """Backticked identifiers in the README's Library section, outside its
+    code blocks, that name nothing in the package.  The first part of a
+    (dotted) name must be an attribute of `gfmredux` or of one of its
+    modules, and each further part an attribute or a dataclass field of
+    what the part before names."""
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    section = re.sub(r"```.*?```", "", section, flags=re.S)
+    owners = [gfmredux] + [
+        importlib.import_module(f"gfmredux.{path.stem}")
+        for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
+    ]
+    missing = []
+    for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", section):
+        first, *rest = name.split(".")
+        found = [getattr(m, first) for m in owners if hasattr(m, first)]
+        for part in rest:
+            found = [member for obj in found for member in _members(obj, part)]
+        if not found:
+            missing.append(name)
+    return missing
+
+
+def test_library_name_scan_finds_planted_names():
+    readme = (
+        "# pkg\n\n## Library\n\n```python\nx = `planted_in_code`\n```\n\n"
+        "`minimize`, `exact.chain_accept`, `ValueVector.policy`, `mdp`, "
+        "`quotient_optimize`, `exact.no_such`, `ValueVector.no_field` and "
+        "`Mdp.labels.no_such` (`gfmredux redux` is no name).\n\n"
+        "## Bundled fixtures\n\n`planted_after`\n"
+    )
+    assert unresolved_library_names(readme) == [
+        "quotient_optimize", "exact.no_such", "ValueVector.no_field",
+        "Mdp.labels.no_such",
+    ]
+
+
+def test_readme_library_names_resolve():
+    assert unresolved_library_names(README.read_text(encoding="utf-8")) == []
