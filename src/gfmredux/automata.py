@@ -352,46 +352,28 @@ def _lasso_reach(a, w: LassoWord, targets) -> set:
 
 def lasso_member(a: Automaton, w: LassoWord) -> bool:
     """Does the automaton accept prefix . cycle^omega?  Nondeterminism is
-    resolved exactly (SCC analysis of the position-unrolled product)."""
+    resolved exactly (SCC analysis of the position-unrolled product): a run
+    accepts iff it can loop through a marked edge (Buchi) or on unmarked
+    edges alone (co-Buchi, whose search leaves marked edges out)."""
     if a.kind not in ("buchi", "cobuchi"):
         raise AutomatonError("lasso membership needs a buchi or cobuchi automaton")
+    buchi = a.kind == "buchi"
     reach = _lasso_reach(a, w, a.succ)
-    p = len(w.prefix)
-
-    if a.kind == "buchi":
-        cyc = [nd for nd in reach if nd[1] >= p]
-        cyc_set = set(cyc)
-
-        def succ_full(nd):
-            q, pos = nd
-            np = w.next_pos(pos)
-            for s in a.succ(q, w.letter_at(pos)):
-                if (s, np) in cyc_set:
-                    yield (s, np)
-
-        comp_of = component_of(strongly_connected_components(cyc, succ_full))
-        for (q, pos) in cyc:
-            letter = w.letter_at(pos)
-            np = w.next_pos(pos)
-            for s in a.succ(q, letter):
-                if (q, letter, s) in a.marked and comp_of.get((s, np)) == comp_of[(q, pos)]:
-                    return True
-        return False
-
-    # cobuchi: accept iff some reachable node starts an infinite unmarked path,
-    # i.e. the unmarked subgraph over reachable nodes has a cycle.
-    def succ_unmarked(nd):
+    succ: dict = {}
+    hot = []
+    for nd in reach:
         q, pos = nd
         letter = w.letter_at(pos)
         np = w.next_pos(pos)
+        out = succ[nd] = []
         for s in a.succ(q, letter):
-            if (q, letter, s) not in a.marked and (s, np) in reach:
-                yield (s, np)
-
-    comp_of = component_of(strongly_connected_components(reach, succ_unmarked))
-    return any(
-        comp_of[nd2] == comp_of[nd] for nd in reach for nd2 in succ_unmarked(nd)
-    )
+            marked = (q, letter, s) in a.marked
+            if buchi or not marked:
+                out.append((s, np))
+                if marked == buchi:
+                    hot.append((nd, (s, np)))
+    comp_of = component_of(strongly_connected_components(reach, succ.__getitem__))
+    return any(comp_of[u] == comp_of[v] for u, v in hot)
 
 
 # ----------------------------------------------- co-Buchi language inclusion

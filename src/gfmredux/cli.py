@@ -56,6 +56,8 @@ _INPUT_ERRORS = (
 # product states and 12 s at 8,320 with CPython 3.11 on a Xeon core (float
 # mode: 0.5 s and 1.2 s)
 EXACT_DEFAULT_LIMIT = 5_000
+# the longest `bench` waits for a case, in seconds (poll overflows past 2**31 ms)
+_BENCH_TIMEOUT_MAX = 1_000_000
 
 
 def _write(path: str | None, text: str):
@@ -312,10 +314,10 @@ def _cmd_bench(args) -> int:
     except NotGfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        timeout = float(grid.get("timeout", args.timeout))
-    except (TypeError, ValueError):
-        raise GridError("bench grid 'timeout' must be a number of seconds") from None
+    timeout = grid.get("timeout", args.timeout)
+    if not _is_timeout(timeout):
+        raise GridError("bench grid 'timeout' must be a number of seconds above 0 "
+                        f"and at most {_BENCH_TIMEOUT_MAX}")
     rows, all_times = _run_bench(cases, timeout)
     if args.csv:
         _write(args.csv, _bench_csv(rows))
@@ -396,6 +398,20 @@ def _at_least(low: int):
     return integer
 
 
+def _is_timeout(value) -> bool:
+    """A number of seconds, not a bool, nan or inf, in (0, _BENCH_TIMEOUT_MAX]."""
+    return type(value) in (int, float) and 0 < value <= _BENCH_TIMEOUT_MAX
+
+
+def _timeout(text: str) -> float:
+    """argparse type: a bench timeout in seconds."""
+    value = float(text)
+    if not _is_timeout(value):
+        raise argparse.ArgumentTypeError(
+            f"{text} is not above 0 and at most {_BENCH_TIMEOUT_MAX}")
+    return value
+
+
 def _make_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gfmredux", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -444,7 +460,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="CSV output")
     p.add_argument("--md", help="Markdown output")
     p.add_argument("--times-out", dest="times_out", help="timings JSON")
-    p.add_argument("--timeout", type=float, default=300.0)
+    p.add_argument("--timeout", type=_timeout, default=300.0)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("check-equiv",

@@ -133,11 +133,11 @@ def nca_determinize(a: Automaton, max_states: int = 200_000) -> Automaton:
 def nca_lang_equiv(a1: Automaton, a2: Automaton) -> LassoWord | None:
     """None if two complete co-Buchi automata (nondeterminism allowed)
     recognise the same language, else a separating lasso."""
-    d2 = a2 if (a2.is_deterministic and a2.is_complete) else nca_determinize(a2)
+    d2 = a2 if a2._tables.det is not None else nca_determinize(a2)
     ce = dcw_counterexample(a1, d2)
     if ce is not None:
         return ce
-    d1 = a1 if (a1.is_deterministic and a1.is_complete) else nca_determinize(a1)
+    d1 = a1 if a1._tables.det is not None else nca_determinize(a1)
     return dcw_counterexample(a2, d1)
 
 
@@ -201,13 +201,6 @@ def _run_accepts(
     return not any(hot[start[q]:])
 
 
-def _equiv_dcw(a: Automaton, b: Automaton) -> LassoWord | None:
-    ce = dcw_counterexample(a, b)
-    if ce is not None:
-        return ce
-    return dcw_counterexample(b, a)
-
-
 def minimize(d: Automaton) -> Automaton:
     """Reduce a deterministic complete co-Buchi automaton, preserving its
     language exactly.
@@ -248,7 +241,7 @@ def minimize(d: Automaton) -> Automaton:
                     ):
                         continue  # a stored lasso already separates it
                     cand = _redirect(cur, q, target, keep_marks)
-                    ce = _equiv_dcw(cand, original)
+                    ce = nca_lang_equiv(cand, original)
                     if ce is None:
                         cur = normalize_safety(cand)
                         committed = True
@@ -261,7 +254,7 @@ def minimize(d: Automaton) -> Automaton:
                 break
 
     cur = _unchecked(Automaton, cur, meta={"lang_class": _pair_relations(cur)[0]})
-    ce = _equiv_dcw(cur, original)
+    ce = nca_lang_equiv(cur, original)
     if ce is not None:  # pragma: no cover - every merge was checked
         raise MinimizeError(f"minimisation changed the language: {ce}", ce)
     return cur

@@ -2,10 +2,12 @@
 
 Supported subset: explicit transition labels (boolean formulas over AP
 indices), single start state, acceptance `1 Inf(0)` or `1 Fin(0)` with marks
-written as `{0}` on transitions.  Indexed alphabets (arity k > 1) are encoded
-in ceil(log2 k) extra APs `_idx0`, `_idx1`, ... plus the custom header
-`x-index-arity:` so they round-trip exactly; other tools may ignore that
-header and read the automaton over the extended AP set.
+written as `{0}` on transitions.  Labels are read by the LTL parser; AP
+indices must be below the AP count, at most `ltl.MAX_ATOMS`.  Indexed
+alphabets (arity k > 1) are encoded in ceil(log2 k) extra APs `_idx0`,
+`_idx1`, ... plus the custom header `x-index-arity:` so they round-trip
+exactly; other tools may ignore that header and read the automaton over the
+extended AP set.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import operator
 import re
 
 from .automata import Alphabet, Automaton, AutomatonError
-from .ltl import AtomSet
+from .ltl import AtomSet, LtlError, LtlParseError, parse
 
 
 class HoaError(ValueError):
@@ -23,87 +25,38 @@ class HoaError(ValueError):
 
 # --------------------------------------------------------- label formulas
 
-class _Label:
-    __slots__ = ("op", "args", "var")
-
-    def __init__(self, op, args=(), var=-1):
-        self.op = op
-        self.args = args
-        self.var = var
-
-    def eval(self, mask: int) -> bool:
-        if self.op == "t":
-            return True
-        if self.op == "f":
-            return False
-        if self.op == "var":
-            return bool(mask >> self.var & 1)
-        if self.op == "!":
-            return not self.args[0].eval(mask)
-        if self.op == "&":
-            return all(a.eval(mask) for a in self.args)
-        return any(a.eval(mask) for a in self.args)
+_LABEL_TEXT = re.compile(r"[0-9tf!&|()\s]*")
+_LABEL_WORD = re.compile(r"[0-9]+|[tf]")
 
 
-_LABEL_TOKEN = re.compile(r"\s*(\d+|[tf!&|()])")
-
-
-def _parse_label(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _LABEL_TOKEN.match(text, pos)
-        if not m:
-            raise HoaError(f"bad label syntax: {text!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    tokens.append(")")  # sentinel
-
-    idx = [0]
-
-    def peek():
-        return tokens[idx[0]]
-
-    def take():
-        t = tokens[idx[0]]
-        idx[0] += 1
-        return t
-
-    def atom_():
-        t = take()
-        if t == "t":
-            return _Label("t")
-        if t == "f":
-            return _Label("f")
-        if t == "!":
-            return _Label("!", (atom_(),))
-        if t == "(":
-            e = disj()
-            if take() != ")":
-                raise HoaError(f"unbalanced parens in label: {text!r}")
-            return e
-        if t.isdigit():
-            return _Label("var", var=int(t))
+def _label_formula(text: str, aps: AtomSet):
+    """Read a label with the LTL parser: AP index k is the atom named "k" of
+    `aps`, and t and f are the constants tt and ff."""
+    if not _LABEL_TEXT.fullmatch(text):
         raise HoaError(f"bad label syntax: {text!r}")
+    ltl_text = _LABEL_WORD.sub(
+        lambda m: f" {m[0] * 2} " if m[0] in "tf" else f'"{int(m[0])}"', text
+    )
+    try:
+        return parse(ltl_text, aps)
+    except LtlParseError:
+        raise HoaError(f"bad label syntax: {text!r}") from None
+    except LtlError:
+        raise HoaError(
+            f"AP index out of range in label {text!r} (AP count {len(aps)})"
+        ) from None
 
-    def conj():
-        parts = [atom_()]
-        while peek() == "&":
-            take()
-            parts.append(atom_())
-        return parts[0] if len(parts) == 1 else _Label("&", tuple(parts))
 
-    def disj():
-        parts = [conj()]
-        while peek() == "|":
-            take()
-            parts.append(conj())
-        return parts[0] if len(parts) == 1 else _Label("|", tuple(parts))
-
-    out = disj()
-    if idx[0] != len(tokens) - 1:
-        raise HoaError(f"trailing tokens in label: {text!r}")
-    return out
+def _holds(f, mask: int) -> bool:
+    """The truth of a label formula under the AP valuation `mask`."""
+    k = f.kind
+    if k == "atom":
+        return bool(mask >> f.atom_index & 1)
+    if k == "not":
+        return not _holds(f.children[0], mask)
+    if k in ("and", "or"):
+        return (all if k == "and" else any)(_holds(c, mask) for c in f.children)
+    return k == "tt"
 
 
 def _cubes(masks, nbits: int) -> list[tuple[int, int]]:
@@ -283,9 +236,13 @@ def from_hoa(text: str) -> Automaton:
     if nb > len(ap_names):
         raise HoaError("x-index-arity larger than the AP set allows")
     n_atoms = len(ap_names) - nb
-    atoms = AtomSet(tuple(ap_names[:n_atoms]))
-    alphabet = Alphabet(atoms, arity)
     nbits = len(ap_names)
+    try:
+        atoms = AtomSet(tuple(ap_names[:n_atoms]))
+        aps = AtomSet(tuple(map(str, range(nbits))))  # label atom k: AP index k
+    except LtlError as exc:
+        raise HoaError(f"bad AP set: {exc}") from None
+    alphabet = Alphabet(atoms, arity)
 
     # cells[q][letter] maps each successor to its mark.  A (src, letter, dst)
     # listed twice collapses to one transition whose mark resolves
@@ -327,7 +284,7 @@ def from_hoa(text: str) -> Automaton:
             label_text = ln[1:close]
             letters = label_letters.get(label_text)
             if letters is None:
-                label = _parse_label(label_text)
+                label = _label_formula(label_text, aps)
             rest = ln[close + 1 :].split()
             if not rest or not rest[0].isdigit():
                 raise HoaError(f"bad transition line: {ln!r}")
@@ -343,7 +300,7 @@ def from_hoa(text: str) -> Automaton:
             if letters is None:
                 letters = []
                 for ext in range(1 << nbits):
-                    if not label.eval(ext):
+                    if not _holds(label, ext):
                         continue
                     idx = (ext >> n_atoms) + 1
                     if idx > arity:

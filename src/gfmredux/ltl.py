@@ -349,55 +349,30 @@ def parse(text: str, atoms: AtomSet | None = None) -> LtlFormula:
 
 # ------------------------------------------------------------ normal forms
 
+# the operator each one turns into when a negation passes through it
+_DUAL = {"tt": "ff", "and": "or", "finally": "globally", "until": "release"}
+_DUAL.update({v: k for k, v in _DUAL.items()}, next="next")
+
+
 def to_nnf(f: LtlFormula) -> LtlFormula:
     """Push negations down to atoms (introduces 'release' as the dual of U)."""
+    return _nnf(f, False)
+
+
+def _nnf(f: LtlFormula, negate: bool) -> LtlFormula:
+    """The negation normal form of f, or of !f when `negate` is set."""
     k = f.kind
-    if k in ("tt", "ff", "atom"):
-        return f
     if k == "not":
-        return _neg(f.children[0])
-    if k == "and":
-        return land(*(to_nnf(c) for c in f.children))
-    if k == "or":
-        return lor(*(to_nnf(c) for c in f.children))
-    if k == "next":
-        return nxt(to_nnf(f.children[0]))
-    if k == "finally":
-        return ev(to_nnf(f.children[0]))
-    if k == "globally":
-        return always(to_nnf(f.children[0]))
-    if k == "until":
-        return until(to_nnf(f.children[0]), to_nnf(f.children[1]))
-    if k == "release":
-        return release(to_nnf(f.children[0]), to_nnf(f.children[1]))
-    raise LtlError(f"unknown kind {k!r}")
-
-
-def _neg(f: LtlFormula) -> LtlFormula:
-    k = f.kind
-    if k == "tt":
-        return FF
-    if k == "ff":
-        return TT
+        return _nnf(f.children[0], not negate)
     if k == "atom":
-        return lnot(f)
-    if k == "not":
-        return to_nnf(f.children[0])
-    if k == "and":
-        return lor(*(_neg(c) for c in f.children))
-    if k == "or":
-        return land(*(_neg(c) for c in f.children))
-    if k == "next":
-        return nxt(_neg(f.children[0]))
-    if k == "finally":
-        return always(_neg(f.children[0]))
-    if k == "globally":
-        return ev(_neg(f.children[0]))
-    if k == "until":
-        return release(_neg(f.children[0]), _neg(f.children[1]))
-    if k == "release":
-        return until(_neg(f.children[0]), _neg(f.children[1]))
-    raise LtlError(f"unknown kind {k!r}")
+        return lnot(f) if negate else f
+    if k not in _DUAL:
+        raise LtlError(f"unknown kind {k!r}")
+    kids = [_nnf(c, negate) for c in f.children]
+    k = _DUAL[k] if negate else k
+    if k in ("and", "or"):
+        return _nary(k, kids)
+    return LtlFormula(k, tuple(kids))
 
 
 def is_cosafety(f: LtlFormula) -> bool:
@@ -440,11 +415,9 @@ def fold(f: LtlFormula) -> LtlFormula:
         if c.kind == "not":
             return c.children[0]
         return lnot(c)
-    if k in ("next", "finally", "globally"):
-        return LtlFormula(k, (fold(f.children[0]),))
-    if k in ("until", "release"):
-        return LtlFormula(k, (fold(f.children[0]), fold(f.children[1])))
-    return f
+    if k in ("tt", "ff", "atom"):
+        return f
+    return LtlFormula(k, tuple(map(fold, f.children)))
 
 
 def _af(f: LtlFormula, letter: int) -> LtlFormula:

@@ -56,8 +56,8 @@ class Mdp:
 
     Construction checks every field and that every distribution holds
     positive Fractions summing to exactly 1 (summed over integers).  The
-    products and indexed copies of this module skip the check, since they
-    are built from checked MDPs and automata (see the module docstring).
+    products of this module skip the check, since they are built from
+    checked MDPs and automata (see the module docstring).
     """
 
     alphabet: Alphabet

@@ -217,7 +217,11 @@ def pa_from_json(data: dict) -> ProbAutomaton:
         states = list(data["states"])
         meta = {}
         if "lang_class" in data:
-            meta["lang_class"] = tuple(data["lang_class"])
+            lang = data["lang_class"]
+            if not isinstance(lang, list) or len(lang) != len(states) \
+                    or any(type(c) is not int for c in lang):
+                raise TypeError(f"lang_class {lang!r} is not one integer per state")
+            meta["lang_class"] = tuple(lang)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise AutomatonError(f"malformed PA document: {exc}") from None
     transitions = []

@@ -4,7 +4,8 @@ Everything here is written from the definitions, on purpose avoiding the
 package's own derivative/product machinery: truth of an LTL formula on a
 lasso word by fixpoint iteration over its positions, end components by
 subset enumeration, reachability values by enumerating memoryless
-deterministic policies and solving each induced chain, and acceptance
+deterministic policies and solving each induced chain, lasso membership
+of nondeterministic automata by breadth-first search, and acceptance
 probabilities of probabilistic automata on lasso words from pairwise
 reachability in the chain the word induces.
 """
@@ -214,6 +215,43 @@ def _policy_reach(m, goal, policy):
     for q in live:
         vals[q] = sol[pos[q]]
     return vals
+
+
+# ----------------------------- lasso membership of an omega-automaton
+
+def brute_lasso_member(a, w) -> bool:
+    """Does the Buchi or co-Buchi automaton a accept w.prefix . w.cycle^omega?
+    Runs on the word are paths over (state, position) nodes.  A Buchi run
+    accepts iff it can take some marked edge u -> v again and again, that is
+    iff v reaches u back; a co-Buchi run accepts iff it can loop on unmarked
+    edges alone, that is iff some unmarked edge u -> v has v reaching u back
+    along unmarked edges.  Every search is a plain breadth-first search."""
+    letters = list(w.prefix) + list(w.cycle)
+    buchi = a.kind == "buchi"
+
+    def edges(node, unmarked_only):
+        q, i = node
+        j = i + 1 if i + 1 < len(letters) else len(w.prefix)
+        for s in a.transitions[q][letters[i]]:
+            marked = (q, letters[i], s) in a.marked
+            if not (unmarked_only and marked):
+                yield (s, j), marked
+
+    def reach_from(node, unmarked_only):
+        seen = {node}
+        todo = [node]
+        while todo:
+            for nxt, _ in edges(todo.pop(0), unmarked_only):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    return any(
+        marked == buchi and u in reach_from(v, not buchi)
+        for u in reach_from((a.initial, 0), False)
+        for v, marked in edges(u, False)
+    )
 
 
 # ------------------------ acceptance probability of a PA on a lasso word

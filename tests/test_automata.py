@@ -22,7 +22,7 @@ from gfmredux.automata import (
 from gfmredux.gfg_min import nca_determinize
 from gfmredux.graph import closure, component_of, coreach
 from gfmredux.ltl import atoms_named
-from oracles import brute_pa_lasso_prob
+from oracles import brute_lasso_member, brute_pa_lasso_prob
 
 AL1 = Alphabet(atoms_named("a"), 1)   # letters: 0 = {}, 1 = {a}
 
@@ -186,6 +186,30 @@ def test_lasso_letters_validated():
     a = two_letter("buchi", [(0, 0, 0, True), (0, 1, 0, True)], 1)
     with pytest.raises(AutomatonError):
         lasso_member(a, LassoWord((), (7,)))
+
+
+def test_lasso_member_against_oracle():
+    # nondeterministic automata with missing moves, of both kinds
+    rng = random.Random(31)
+    alphabets = (AL1, Alphabet(atoms_named("a", "b"), 1))
+    answers = set()
+    for _ in range(600):
+        kind, al, n = rng.choice(("buchi", "cobuchi")), rng.choice(alphabets), rng.randint(1, 5)
+        edges = [
+            (q, x, s, rng.random() < 0.4)
+            for q in range(n) for x in al.letters() for s in range(n)
+            if rng.random() < 0.35
+        ]
+        a = build_automaton(al, n, 0, kind, edges)
+        for _ in range(8):
+            w = LassoWord(
+                tuple(rng.randrange(al.size) for _ in range(rng.randint(0, 4))),
+                tuple(rng.randrange(al.size) for _ in range(rng.randint(1, 4))),
+            )
+            accepts = lasso_member(a, w)
+            assert accepts == brute_lasso_member(a, w), (a, w)
+            answers.add((kind, accepts))
+    assert len(answers) == 4
 
 
 def dcw_fin_a():

@@ -303,6 +303,33 @@ def test_bench_timeout_cells(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("timeout", [
+    "inf", "nan", float("inf"), float("nan"), -1, 0, True, "60", 3e6,
+])
+def test_bench_rejects_bad_grid_timeout(timeout, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "cases": [{"family": "tdr", "params": [2]}], "timeout": timeout,
+    }))
+    assert main(["bench", "--grid", str(grid)]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: bench grid 'timeout' must be")
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("timeout", ["inf", "nan", "-1", "0", "3e6"])
+def test_bench_rejects_bad_timeout_option(timeout, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cases": [{"family": "tdr", "params": [2]}]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--grid", str(grid), "--timeout", timeout])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("usage:")
+    assert f"error: argument --timeout: {timeout} is not above 0" in out.err
+    assert out.out == ""
+
+
 def test_fixtures_copier(tmp_path, capsys):
     out = tmp_path / "fx"
     assert main(["fixtures", str(out)]) == 0

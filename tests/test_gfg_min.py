@@ -190,7 +190,7 @@ def test_run_accepts_matches_the_redirected_automaton():
 def test_stored_lassos_refute_failed_merges(family, params, monkeypatch):
     d = dba_to_dca(gf_to_dba(gen_pattern(family, params)))
     stored = []  # lassos returned by earlier checks
-    real_equiv = gfg_min._equiv_dcw
+    real_equiv = gfg_min.nca_lang_equiv
 
     def spy_equiv(cand, original):
         for w in stored:  # no stored lasso separates a checked candidate
@@ -207,7 +207,7 @@ def test_stored_lassos_refute_failed_merges(family, params, monkeypatch):
         products.append(a)
         return real_ce(a, b)
 
-    monkeypatch.setattr(gfg_min, "_equiv_dcw", spy_equiv)
+    monkeypatch.setattr(gfg_min, "nca_lang_equiv", spy_equiv)
     monkeypatch.setattr(gfg_min, "dcw_counterexample", spy_ce)
     m = minimize(d)
     assert m.n_states == d.n_states == 8

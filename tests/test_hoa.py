@@ -118,6 +118,10 @@ def test_repeated_bad_labels_raise_at_their_first_edge():
     bad_syntax = head + "State: 0\n[0 &] 1\nState: 1\n[0 &] 0\n[0 &] 7\n--END--\n"
     with pytest.raises(HoaError, match=r"^bad label syntax: '0 &'$"):
         from_hoa(bad_syntax)
+    with pytest.raises(
+        HoaError, match=r"^AP index out of range in label '!1' \(AP count 1\)$"
+    ):
+        from_hoa(head + "State: 0\n[0] 1\n[!1] 1\n--END--\n")
     arity = head.replace('AP: 1 "a"', 'AP: 3 "a" "_idx0" "_idx1"\nx-index-arity: 3')
     good_then_bad = (
         arity + "State: 0\n[!1&!2] 1\n[!1&!2] 0\nState: 1\n[1&2] 0\n[1&2] 1\n--END--\n"
@@ -197,6 +201,12 @@ def test_version_and_body_required():
     ("AP: 1 \"a\"", "AP:"),
     ("Acceptance:", "x-index-arity: two\nAcceptance:"),
     ("[t] 0 {0}", "[t 0 {0}"),
+    ("[t] 0 {0}", "[1] 0 {0}"),
+    ("[t] 0 {0}", "[!1] 0 {0}"),
+    ("[t] 0 {0}", "[0&(t&0] 0 {0}"),
+    ("AP: 1 \"a\"", "AP: 17 " + " ".join(f'"p{i}"' for i in range(17))),
+    ("AP: 1 \"a\"", "AP: 17 " + " ".join(f'"p{i}"' for i in range(17))
+     + "\nx-index-arity: 2"),
 ])
 def test_malformed_numbers_and_labels_raise_hoa_error(old, new):
     text = (

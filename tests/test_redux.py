@@ -225,6 +225,10 @@ def _first_move(doc):
     (lambda d: _first_move(d).__setitem__(1, "x"), "bad probability 'x'"),
     (lambda d: _first_move(d).__setitem__(1, "1/0"), "bad probability '1/0'"),
     (lambda d: _first_move(d).__setitem__(2, "yes"), "mark 'yes' is not a boolean"),
+    (lambda d: d["lang_class"].pop(), "is not one integer per state"),
+    (lambda d: d["lang_class"].__setitem__(0, "x"), "is not one integer per state"),
+    (lambda d: d["lang_class"].__setitem__(0, True), "is not one integer per state"),
+    (lambda d: d.update(lang_class=True), "lang_class True is not one integer"),
 ])
 def test_pa_from_json_rejects_malformed_fields(fixture_text, spoil, message):
     doc = pa_to_json(redux(from_hoa(fixture_text("commit_blind.hoa"))).pa)
@@ -235,13 +239,13 @@ def test_pa_from_json_rejects_malformed_fields(fixture_text, spoil, message):
 
 def test_redux_always_checks_final_equivalence(fixture_text, monkeypatch):
     checked = []
-    real = gfg_min._equiv_dcw
+    real = gfg_min.nca_lang_equiv
 
     def spy(a, b):
         checked.append(a)
         return real(a, b)
 
-    monkeypatch.setattr(gfg_min, "_equiv_dcw", spy)
+    monkeypatch.setattr(gfg_min, "nca_lang_equiv", spy)
     res = redux(from_hoa(fixture_text("commit_blind.hoa")))
     assert res.report.minimized.n_states == 4
     # the last check compares the finished automaton with the input
