@@ -47,22 +47,29 @@ def _probability(text) -> Fraction:
         raise ValueError(f"bad probability {text!r}: {exc}") from None
 
 
-def _probability_sum(dist) -> tuple[int, int]:
-    """The exact sum num/den of the probabilities of the (successor,
-    probability) pairs `dist`, accumulated by integer cross-multiplication
-    rather than one Fraction addition per term; the sum is 1 iff num == den.
-    Raises ValueError, carrying the probability, on the first one that is
-    not a positive Fraction."""
-    num, den = 0, 1
-    for _, p in dist:
+def _distribution_error(dist, n: int) -> str | None:
+    """What is wrong with the distribution `dist` over states 0..n-1, else
+    None.  It must list (successor, probability) pairs, successors strictly
+    increasing, probabilities positive Fractions whose sum, added over
+    integers by cross-multiplication rather than one Fraction addition per
+    term, is exactly 1."""
+    if not dist:
+        return "empty distribution"
+    num, den, last = 0, 1, -1
+    for s, p in dist:
+        if not 0 <= s < n:
+            return f"successor {s} out of range"
+        if s <= last:
+            return "successors must be sorted and unique"
+        last = s
         if not isinstance(p, Fraction) or p.numerator <= 0:
-            raise ValueError(p)
+            return "probabilities must be positive fractions"
         d = p.denominator
         if d == den:
             num += p.numerator
         else:
             num, den = num * d + p.numerator * den, den * d
-    return num, den
+    return None if num == den else f"distribution sums to {Fraction(num, den)}"
 
 
 def _unchecked(cls, base=None, /, **values):
@@ -543,7 +550,8 @@ class ProbAutomaton:
 
     alphabet: Alphabet
     initial: int
-    # transitions[state][letter] -> ((succ, prob), ...) with probs summing to 1
+    # transitions[state][letter] -> ((succ, prob), ...), successors sorted and
+    # unique, probabilities positive Fractions summing to 1
     transitions: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
     marked: frozenset[tuple[int, int, int]] = frozenset()
     meta: dict | None = field(default=None, compare=False, repr=False)
@@ -557,27 +565,9 @@ class ProbAutomaton:
             if len(row) != size:
                 raise AutomatonError(f"state {q}: wrong letter count")
             for dist in row:
-                if len(dist) == 1 and dist[0][1] == 1 and 0 <= dist[0][0] < n:
-                    continue  # one successor with probability 1
-                if not dist:
-                    raise AutomatonError(f"state {q}: missing distribution")
-                seen = set()
-                for s, _ in dist:
-                    if not 0 <= s < n:
-                        raise AutomatonError(f"state {q}: successor {s} out of range")
-                    if s in seen:
-                        raise AutomatonError(f"state {q}: duplicate successor {s}")
-                    seen.add(s)
-                try:
-                    num, den = _probability_sum(dist)
-                except ValueError as exc:
-                    raise AutomatonError(
-                        f"state {q}: probability {exc.args[0]} is not a positive fraction"
-                    ) from None
-                if num != den:
-                    raise AutomatonError(
-                        f"state {q}: probabilities sum to {Fraction(num, den)}"
-                    )
+                error = _distribution_error(dist, n)
+                if error is not None:
+                    raise AutomatonError(f"state {q}: {error}")
         for (q, letter, s) in self.marked:
             if all(t != s for t, _ in self.transitions[q][letter]):
                 raise AutomatonError(f"marked triple ({q},{letter},{s}) not a transition")

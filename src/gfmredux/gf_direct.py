@@ -10,7 +10,7 @@ a reset-subset rule yields a deterministic Buchi oracle for GF(body).
 from __future__ import annotations
 
 from .automata import Alphabet, Automaton, build_automaton
-from .graph import coreach
+from .graph import coreach, numbering
 from .ltl import (
     AtomSet,
     LtlError,
@@ -51,27 +51,18 @@ def cosafety_to_nfa(f: LtlFormula, atoms: AtomSet | None = None) -> Automaton:
     alphabet = Alphabet(atoms, 1)
 
     bdd = PropBdd()
-    reps: list[LtlFormula] = []
-    state_of: dict[int, int] = {}
-
-    def class_of(h: LtlFormula) -> int:
-        n = bdd.node(h)
-        if n not in state_of:
-            state_of[n] = len(reps)
-            reps.append(h)
-        return state_of[n]
-
-    init = class_of(g)
+    order, number = numbering(bdd.node(g))
+    reps = {order[0]: g}  # the first formula met for each BDD node
     edges = []
-    q = 0
-    while q < len(reps):  # states are numbered in breadth-first order
+    for q, node in enumerate(order):
         for letter in alphabet.letters():
-            residual = af_step(reps[q], letter)
+            residual = af_step(reps[node], letter)
             for part in residual.children if residual.kind == "or" else (residual,):
-                edges.append((q, letter, class_of(part)))
-        q += 1
-    finals = [state_of[bdd.TRUE]] if bdd.TRUE in state_of else []
-    return build_automaton(alphabet, len(reps), init, "finite", edges,
+                n = bdd.node(part)
+                reps.setdefault(n, part)
+                edges.append((q, letter, number(n)))
+    finals = [number(bdd.TRUE)] if bdd.TRUE in reps else []
+    return build_automaton(alphabet, len(order), 0, "finite", edges,
                            finals=finals)
 
 
@@ -103,23 +94,16 @@ def nfa_to_gfm_gf(nfa: Automaton) -> Automaton:
         return _universal_buchi(nfa.alphabet)
     useful = _useful_states(nfa)
 
-    order = [nfa.initial]
-    number = {nfa.initial: 0}
+    order, number = numbering(nfa.initial)
     edges = []
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
+    for i, q in enumerate(order):
         for letter in nfa.alphabet.letters():
             base = nfa.succ(q, letter)
             fires = any(s in nfa.final_states for s in base)
             targets = {s for s in base if s in useful and s not in nfa.final_states}
             for s in sorted(targets):
-                if s not in number:
-                    number[s] = len(order)
-                    order.append(s)
-                edges.append((number[q], letter, number[s]))
-            edges.append((number[q], letter, 0, fires))
+                edges.append((i, letter, number(s)))
+            edges.append((i, letter, 0, fires))
     return build_automaton(nfa.alphabet, len(order), 0, "buchi", edges)
 
 
@@ -138,13 +122,9 @@ def reset_subset_dba(nfa: Automaton) -> Automaton:
     useful = _useful_states(nfa)
 
     start = frozenset({nfa.initial})
-    number: dict[frozenset[int], int] = {start: 0}
-    order = [start]
+    order, number = numbering(start)
     edges = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        i += 1
+    for i, subset in enumerate(order):
         for letter in nfa.alphabet.letters():
             targets = set()
             for q in subset:
@@ -157,10 +137,7 @@ def reset_subset_dba(nfa: Automaton) -> Automaton:
             else:
                 succ = frozenset(targets | {nfa.initial})
                 fires = False
-            if succ not in number:
-                number[succ] = len(order)
-                order.append(succ)
-            edges.append((number[subset], letter, number[succ], fires))
+            edges.append((i, letter, number(succ), fires))
     return build_automaton(nfa.alphabet, len(order), 0, "buchi", edges)
 
 

@@ -32,7 +32,7 @@ from .automata import (
     dcw_counterexample,
     prune_unreachable,
 )
-from .graph import component_of, coreach, strongly_connected_components
+from .graph import component_of, coreach, numbering, strongly_connected_components
 
 
 class MinimizeError(AutomatonError):
@@ -96,37 +96,17 @@ def nca_determinize(a: Automaton, max_states: int = 200_000) -> Automaton:
         raise AutomatonError("nca_determinize needs a co-Buchi automaton")
     if not a.is_complete:
         raise AutomatonError("nca_determinize needs a complete automaton")
-    start = (frozenset({a.initial}), frozenset({a.initial}))
-    number = {start: 0}
-    order = [start]
+    order, number = numbering((frozenset({a.initial}), frozenset({a.initial})))
     edges = []
-    i = 0
-    while i < len(order):
-        s_set, o_set = order[i]
-        i += 1
+    for i, (s_set, o_set) in enumerate(order):
         for letter in a.alphabet.letters():
-            s_next = set()
-            for q in s_set:
-                s_next.update(a.succ(q, letter))
-            o_next = set()
-            for q in o_set:
-                for s in a.succ(q, letter):
-                    if (q, letter, s) not in a.marked:
-                        o_next.add(s)
-            if o_next:
-                node = (frozenset(s_next), frozenset(o_next))
-                breakpoint_ = False
-            else:
-                node = (frozenset(s_next), frozenset(s_next))
-                breakpoint_ = True
-            if node not in number:
-                if len(order) >= max_states:
-                    raise MinimizeError(
-                        f"determinisation exceeded {max_states} states"
-                    )
-                number[node] = len(order)
-                order.append(node)
-            edges.append((number[(s_set, o_set)], letter, number[node], breakpoint_))
+            s_next = frozenset(s for q in s_set for s in a.succ(q, letter))
+            o_next = frozenset(s for q in o_set for s in a.succ(q, letter)
+                               if (q, letter, s) not in a.marked)
+            j = number((s_next, o_next or s_next))  # O restarts from S
+            if j >= max_states:
+                raise MinimizeError(f"determinisation exceeded {max_states} states")
+            edges.append((i, letter, j, not o_next))
     return build_automaton(a.alphabet, len(order), 0, "cobuchi", edges)
 
 

@@ -5,7 +5,9 @@ hashable nodes.  Strongly connected components follow Tarjan (SIAM J.
 Comput. 1972), written iteratively so deep graphs do not hit the recursion
 limit; backward closure is the set-of-predecessors form used by the
 qualitative MDP algorithms (Baier & Katoen, Principles of Model Checking,
-section 10.6).
+section 10.6).  `numbering` gives the breadth-first state ids of every
+reachable-state construction: the construction walks the order while
+`number` grows it.
 """
 
 from __future__ import annotations
@@ -64,6 +66,25 @@ def strongly_connected_components(nodes, succ) -> list[list]:
 def component_of(comps) -> dict:
     """Map each node to the index of its component in `comps`."""
     return {nd: ci for ci, comp in enumerate(comps) for nd in comp}
+
+
+def numbering(start):
+    """Breadth-first state ids from `start`, which gets id 0: returns
+    (order, number), where `number(node)` gives the node's id and appends a
+    new node to `order`.  A construction numbers each node's successors
+    while it walks `order` (`for i, node in enumerate(order)`), so the walk
+    sees every node appended before it ends."""
+    order = [start]
+    ids = {start: 0}
+
+    def number(node) -> int:
+        i = ids.get(node)
+        if i is None:
+            i = ids[node] = len(order)
+            order.append(node)
+        return i
+
+    return order, number
 
 
 def closure(seeds, succ) -> list:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 import re
+from functools import reduce
 
 from .automata import Alphabet, Automaton, AutomatonError
 from .ltl import AtomSet, LtlError, LtlParseError, parse
@@ -47,16 +48,19 @@ def _label_formula(text: str, aps: AtomSet):
         ) from None
 
 
-def _holds(f, mask: int) -> bool:
-    """The truth of a label formula under the AP valuation `mask`."""
+def _models(f, ap_sets, full: int) -> int:
+    """The AP valuations that satisfy a label formula, as a bitset: bit v is
+    set when the formula holds under valuation v.  `ap_sets[k]` is the
+    bitset of the valuations that set AP k and `full` that of them all."""
     k = f.kind
     if k == "atom":
-        return bool(mask >> f.atom_index & 1)
+        return ap_sets[f.atom_index]
     if k == "not":
-        return not _holds(f.children[0], mask)
+        return _models(f.children[0], ap_sets, full) ^ full
     if k in ("and", "or"):
-        return (all if k == "and" else any)(_holds(c, mask) for c in f.children)
-    return k == "tt"
+        op = operator.and_ if k == "and" else operator.or_
+        return reduce(op, (_models(c, ap_sets, full) for c in f.children))
+    return full if k == "tt" else 0
 
 
 def _cubes(masks, nbits: int) -> list[tuple[int, int]]:
@@ -243,6 +247,14 @@ def from_hoa(text: str) -> Automaton:
     except LtlError as exc:
         raise HoaError(f"bad AP set: {exc}") from None
     alphabet = Alphabet(atoms, arity)
+    # bit v of ap_sets[k] is bit k of valuation v: 2^k zeros then 2^k ones,
+    # repeated; full // (2^(2^(k+1)) - 1) sets the first bit of each repeat
+    full = (1 << (1 << nbits)) - 1
+    ap_sets = [full // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k))
+               for k in range(nbits)]
+    first_bad = arity << n_atoms  # the valuations from here on exceed the arity
+    letter_of = [alphabet.letter(v & ((1 << n_atoms) - 1), (v >> n_atoms) + 1)
+                 for v in range(first_bad)]
 
     # cells[q][letter] maps each successor to its mark.  A (src, letter, dst)
     # listed twice collapses to one transition whose mark resolves
@@ -298,17 +310,16 @@ def from_hoa(text: str) -> Automaton:
                     raise HoaError(f"unsupported acceptance sets: {acc!r}")
                 marked = True
             if letters is None:
-                letters = []
-                for ext in range(1 << nbits):
-                    if not _holds(label, ext):
-                        continue
-                    idx = (ext >> n_atoms) + 1
-                    if idx > arity:
-                        raise HoaError(
-                            f"transition label uses index {idx} beyond "
-                            f"x-index-arity {arity}"
-                        )
-                    letters.append(alphabet.letter(ext & ((1 << n_atoms) - 1), idx))
+                models = _models(label, ap_sets, full)
+                bad = models >> first_bad
+                if bad:  # name the lowest offending index
+                    v = first_bad + (bad & -bad).bit_length() - 1
+                    raise HoaError(
+                        f"transition label uses index {(v >> n_atoms) + 1} "
+                        f"beyond x-index-arity {arity}"
+                    )
+                letters = [letter_of[v] for v, bit in enumerate(bin(models)[:1:-1])
+                           if bit == "1"]
                 label_letters[label_text] = letters
             row = cells[state]
             for letter in letters:

@@ -382,7 +382,9 @@ def is_cosafety(f: LtlFormula) -> bool:
 
 # ------------------------------------------------------------- fold / af
 
-@lru_cache(maxsize=None)
+# one translation folds a few hundred distinct formulas (605 for LIB 9); the
+# bound keeps a long-lived process from holding every formula it ever folded
+@lru_cache(maxsize=4096)
 def fold(f: LtlFormula) -> LtlFormula:
     """Canonical form: flatten and/or, drop units, absorb tt/ff, dedupe, sort."""
     k = f.kind

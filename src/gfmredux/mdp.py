@@ -25,14 +25,14 @@ from .automata import (
     AtomSet,
     Automaton,
     ProbAutomaton,
+    _distribution_error,
     _probability,
-    _probability_sum,
     _state_id,
     _unchecked,
     complete,
 )
 from .exact import chain_accept, chain_reach
-from .graph import component_of, strongly_connected_components
+from .graph import component_of, numbering, strongly_connected_components
 
 _VI_TOL = 1e-10
 _VI_CAP = 1_000_000
@@ -88,26 +88,9 @@ class Mdp:
             if not 0 <= self.labels[q] < self.alphabet.size:
                 raise MdpError(f"state {q} label out of range")
             for dist in self.transitions[q]:
-                if not dist:
-                    raise MdpError(f"state {q} has an empty distribution")
-                last = -1
-                for s, _ in dist:
-                    if not 0 <= s < n:
-                        raise MdpError(f"state {q}: successor {s} out of range")
-                    if s <= last:
-                        raise MdpError(
-                            f"state {q}: successors must be sorted and unique"
-                        )
-                    last = s
-                try:
-                    num, den = _probability_sum(dist)
-                except ValueError:
-                    raise MdpError(f"state {q}: probabilities must be "
-                                   "positive fractions") from None
-                if num != den:
-                    raise MdpError(
-                        f"state {q}: distribution sums to {Fraction(num, den)}"
-                    )
+                error = _distribution_error(dist, n)
+                if error is not None:
+                    raise MdpError(f"state {q}: {error}")
 
     @property
     def n_states(self) -> int:
@@ -210,39 +193,29 @@ def _check_same_atoms(m: Mdp, atoms: AtomSet, who: str):
 
 
 def _product(m: Mdp, initial: int, moves) -> ProductMdp:
-    """Product over the pairs reachable from (m.initial, initial), numbered
-    in breadth-first discovery order.
+    """Product over the pairs reachable from (m.initial, initial).
 
     `moves(s, q)` yields one (action name, distribution, marked successors)
     triple per product action of pair (s, q); a distribution lists
-    (successor pair, probability) items, each pair once.
+    (successor pair, probability) items, each pair once.  The walk over
+    `graph.numbering`'s order numbers the pairs breadth-first: each pair's
+    successors in the order its distributions list them, then its marked
+    successors.
     """
-    number: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-
-    def pid(pair):
-        if pair not in number:
-            number[pair] = len(order)
-            order.append(pair)
-        return number[pair]
-
-    pid((m.initial, initial))
+    order, number = numbering((m.initial, initial))
     names, trans, labels = [], [], []
     marked = set()
-    p = 0
-    while p < len(order):
-        s, q = order[p]
+    for p, (s, q) in enumerate(order):
         row_names, row_dists = [], []
         for name, dist, hot in moves(s, q):
             idx = len(row_names)
             row_names.append(name)
-            row_dists.append(tuple(sorted((pid(pair), pr) for pair, pr in dist)))
+            row_dists.append(tuple(sorted((number(pair), pr) for pair, pr in dist)))
             if hot:
-                marked.update((p, idx, number[pair]) for pair in hot)
+                marked.update((p, idx, number(pair)) for pair in hot)
         names.append(tuple(row_names))
         trans.append(tuple(row_dists))
         labels.append(m.labels[s])
-        p += 1
     prod = _unchecked(
         Mdp,
         alphabet=m.alphabet,

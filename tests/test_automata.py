@@ -20,7 +20,7 @@ from gfmredux.automata import (
     strongly_connected_components,
 )
 from gfmredux.gfg_min import nca_determinize
-from gfmredux.graph import closure, component_of, coreach
+from gfmredux.graph import closure, component_of, coreach, numbering
 from gfmredux.ltl import atoms_named
 from oracles import brute_lasso_member, brute_pa_lasso_prob
 
@@ -147,6 +147,30 @@ def test_graph_kernel_matches_brute_force_reachability():
         assert coreach(nodes, succ, targets) == {
             u for u in nodes if any(inside[u][t] for t in targets)
         }
+
+
+def test_numbering_gives_ids_in_first_call_order():
+    order, number = numbering("s")
+    assert order == ["s"] and number("s") == 0
+    assert [number(x) for x in ("b", "a", "b", "s", "c")] == [1, 2, 1, 0, 3]
+    assert order == ["s", "b", "a", "c"]
+
+
+def test_numbering_walk_sees_nodes_appended_during_it():
+    """Walking `order` while numbering successors visits every node
+    reachable from the start, each once, in closure's breadth-first order."""
+    rng = random.Random(11)
+    for _ in range(100):
+        n, succs = _random_digraph(rng)
+        start = rng.randrange(n)
+        order, number = numbering(start)
+        walked = []
+        for i, u in enumerate(order):
+            assert number(u) == i
+            walked.append(u)
+            for v in succs[u]:
+                number(v)
+        assert walked == order == closure([start], succs.__getitem__)
 
 
 def test_buchi_lasso_member():
@@ -321,12 +345,18 @@ def test_lang_partition_merges_equivalent_states():
 
 
 def test_pa_validation():
-    # a distribution that sums to 1/2 is rejected
-    with pytest.raises(AutomatonError):
-        ProbAutomaton(
-            AL1, 0,
-            ((((0, Fraction(1, 2)),), ((0, Fraction(1)),)),),
-        )
+    one, half = Fraction(1), Fraction(1, 2)
+    for dist, message in [
+        (((1, half), (0, half)), "successors must be sorted and unique"),
+        (((0, half), (0, half)), "successors must be sorted and unique"),
+        ((), "empty distribution"),
+        (((0, Fraction(0)), (1, one)), "probabilities must be positive fractions"),
+        (((0, half), (1, Fraction(1, 3))), "distribution sums to 5/6"),
+        (((0, half),), "distribution sums to 1/2"),
+        (((2, one),), "successor 2 out of range"),
+    ]:
+        with pytest.raises(AutomatonError, match=f"^state 0: {message}$"):
+            ProbAutomaton(AL1, 0, ((dist, ((0, one),)), (((1, one),), ((1, one),))))
     # marked triples must name real transitions
     with pytest.raises(AutomatonError):
         ProbAutomaton(

@@ -30,7 +30,7 @@ from gfmredux.hoa import from_hoa
 from gfmredux.ltl import AtomSet
 from gfmredux.patterns import gen_pattern
 from gfmredux.redux import dba_to_dca
-from oracles import brute_safe_contained
+from oracles import brute_lasso_member, brute_safe_contained
 
 ALPH = Alphabet(AtomSet(("a",)), 1)
 
@@ -265,6 +265,29 @@ def test_nca_determinize_breakpoint():
     assert lasso_member(det, LassoWord((), (1,)))
     assert lasso_member(det, LassoWord((1, 0), (0,)))
     assert not lasso_member(det, LassoWord((), (0, 1)))
+
+
+def test_nca_determinize_keeps_the_language_of_random_automata():
+    """The breakpoint determinisation of a complete nondeterministic
+    co-Buchi automaton accepts exactly the lassos the automaton accepts."""
+    rng = random.Random(31)
+    counts = [0, 0]
+    for _ in range(300):
+        al = Alphabet(AtomSet(("a", "b")[: rng.randint(1, 2)]), 1)
+        n = rng.randint(1, 4)
+        a = build_automaton(al, n, 0, "cobuchi", [
+            (q, x, s, rng.random() < 0.3)
+            for q in range(n) for x in al.letters()
+            for s in rng.sample(range(n), rng.randint(1, min(2, n)))
+        ])
+        det = nca_determinize(a)
+        assert det.is_deterministic and det.is_complete
+        for _ in range(4):
+            w = _random_lasso(rng, al.size, max_len=3)
+            accepted = brute_lasso_member(a, w)
+            assert brute_lasso_member(det, w) == accepted, (a, w)
+            counts[accepted] += 1
+    assert min(counts) >= 200, counts
 
 
 def test_nca_determinize_state_cap():

@@ -135,6 +135,55 @@ def test_repeated_bad_labels_raise_at_their_first_edge():
         from_hoa(good_then_bad.replace("[1&2] 0", "[1&2] 7"))
 
 
+def _random_label(rng, n_aps, depth):
+    """A random label over AP indices below n_aps, as its HOA text and its
+    truth under an AP valuation (bit k of v sets AP k)."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        k = rng.randrange(n_aps + 2)
+        if k >= n_aps:
+            return "tf"[k - n_aps], lambda v, const=k == n_aps: const
+        return str(k), lambda v, k=k: bool(v >> k & 1)
+    if r < 0.45:
+        text, holds = _random_label(rng, n_aps, depth - 1)
+        return f"!({text})", lambda v: not holds(v)
+    (lt, lh), (rt, rh) = (_random_label(rng, n_aps, depth - 1) for _ in "lr")
+    if rng.random() < 0.5:
+        return f"({lt}) & ({rt})", lambda v: lh(v) and rh(v)
+    return f"({lt})|({rt})", lambda v: lh(v) or rh(v)
+
+
+def test_random_labels_read_as_their_valuations():
+    """Edge i of state 0 goes to state i, so the successors of each letter
+    name exactly the labels that hold under it."""
+    rng = random.Random(14)
+    for _ in range(60):
+        n_aps = rng.randint(1, 4)
+        labels = [_random_label(rng, n_aps, rng.randint(0, 4)) for _ in range(6)]
+        aps = " ".join(f'"p{k}"' for k in range(n_aps))
+        text = "".join(
+            [f"HOA: v1\nStates: 6\nStart: 0\nAP: {n_aps} {aps}\n"
+             "Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n"]
+            + [f"[{label}] {i}\n" for i, (label, _) in enumerate(labels)]
+            + [f"State: {q}\n[t] {q}\n" for q in range(1, 6)] + ["--END--\n"]
+        )
+        a = from_hoa(text)
+        assert a.alphabet.index_arity == 1
+        for v in range(1 << n_aps):
+            letter = a.alphabet.letter(v)
+            expected = tuple(i for i, (_, holds) in enumerate(labels) if holds(v))
+            assert a.transitions[0][letter] == expected, (text, v)
+
+
+def test_label_beyond_arity_names_the_lowest_index():
+    text = (
+        "HOA: v1\nStates: 1\nStart: 0\nAP: 4 \"a\" \"_idx0\" \"_idx1\" \"_idx2\"\n"
+        "x-index-arity: 5\nAcceptance: 1 Inf(0)\n--BODY--\nState: 0\n[t] 0\n--END--\n"
+    )
+    with pytest.raises(HoaError, match=r"^transition label uses index 6 beyond"):
+        from_hoa(text)
+
+
 def test_repeated_labels_give_the_same_automaton():
     rng = random.Random(9)
     al = Alphabet(atoms_named("a"), 2)

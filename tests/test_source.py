@@ -101,6 +101,55 @@ def test_no_unused_imports_in_package():
     assert found == {}
 
 
+def unbounded_caches(tree: ast.Module) -> list[str]:
+    """Module-level functions cached without a bound: decorated with
+    `lru_cache(maxsize=None)`, `lru_cache(None)` or `cache`, plain or as
+    `functools.` attributes."""
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    def unbounded(dec):
+        if not isinstance(dec, ast.Call):
+            return name(dec) == "cache"
+        if name(dec.func) == "cache":
+            return True
+        size = [kw.value for kw in dec.keywords if kw.arg == "maxsize"] + dec.args[:1]
+        return (name(dec.func) == "lru_cache" and bool(size)
+                and isinstance(size[0], ast.Constant) and size[0].value is None)
+
+    return [f"{stmt.name} (line {stmt.lineno})" for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(unbounded(dec) for dec in stmt.decorator_list)]
+
+
+def test_unbounded_cache_scan_finds_them():
+    tree = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@lru_cache(maxsize=None)\ndef a(x):\n    return x\n\n"
+        "@functools.lru_cache(None)\ndef b(x):\n    return x\n\n"
+        "@cache\ndef c(x):\n    return x\n\n"
+        "@functools.cache\ndef d(x):\n    return x\n\n"
+        "@lru_cache(maxsize=64)\ndef e(x):\n    return x\n\n"
+        "@lru_cache\ndef f(x):\n    return x\n\n"
+        "@functools.lru_cache(4096)\ndef g(x):\n    return x\n\n"
+        "@lru_cache()\ndef h(x):\n    return x\n"
+    )
+    assert unbounded_caches(tree) == [
+        "a (line 5)", "b (line 9)", "c (line 13)", "d (line 17)",
+    ]
+
+
+def test_package_caches_are_bounded():
+    """A long-lived process (a server, the benchmark) must not keep every
+    argument a cached function has ever seen."""
+    found = {
+        path.name: unbounded
+        for path in sorted(SRC.glob("*.py"))
+        if (unbounded := unbounded_caches(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
+
+
 def non_stdlib_imports(tree: ast.Module) -> list[str]:
     """Absolute imports of modules outside the standard library."""
     found = []
