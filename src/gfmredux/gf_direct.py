@@ -19,7 +19,8 @@ from .ltl import (
     af_step,
     atom_set,
     fold,
-    is_cosafety,
+    is_cosafety_nnf,
+    now_atoms,
     to_nnf,
 )
 
@@ -30,7 +31,7 @@ def gf_body(f: LtlFormula) -> LtlFormula:
     if g.kind != "globally" or g.children[0].kind != "finally":
         raise LtlError("GF body must be co-safety: formula is not of the form GF(...)")
     body = g.children[0].children[0]
-    if not is_cosafety(body):
+    if not is_cosafety_nnf(body):
         raise LtlError("GF body must be co-safety")
     return body
 
@@ -41,13 +42,19 @@ def cosafety_to_nfa(f: LtlFormula, atoms: AtomSet | None = None) -> Automaton:
     States are propositional-equivalence classes of folded derivatives, one
     per node of a BDD built for this call; a residual's top-level disjuncts
     become separate successors, which is what keeps derivative chains of
-    independent disjuncts from multiplying out.
+    independent disjuncts from multiplying out.  A derivative reads only the
+    atoms not under X, so each state takes one derivative per valuation of
+    those atoms, and every letter with that valuation shares its successors.
+    `atoms`, when given, must be f's own AtomSet (f may have no atoms).
     """
     g = fold(to_nnf(f))
-    if not is_cosafety(g):
+    if not is_cosafety_nnf(g):
         raise LtlError("cosafety_to_nfa needs a co-safety formula")
     if atoms is None:
         atoms = atom_set(g) or AtomSet(())
+    elif (own := atom_set(f)) is not None and own != atoms:
+        raise LtlError(f"formula atoms {own.names} differ from the alphabet's "
+                       f"atoms {atoms.names}")
     alphabet = Alphabet(atoms, 1)
 
     bdd = PropBdd()
@@ -55,12 +62,21 @@ def cosafety_to_nfa(f: LtlFormula, atoms: AtomSet | None = None) -> Automaton:
     reps = {order[0]: g}  # the first formula met for each BDD node
     edges = []
     for q, node in enumerate(order):
+        rep = reps[node]
+        mask = now_atoms(rep)
+        row: list[list[int]] = []  # successor ids by letter
         for letter in alphabet.letters():
-            residual = af_step(reps[node], letter)
-            for part in residual.children if residual.kind == "or" else (residual,):
-                n = bdd.node(part)
-                reps.setdefault(n, part)
-                edges.append((q, letter, number(n)))
+            if letter & mask != letter:  # its projection came first
+                targets = row[letter & mask]
+            else:
+                residual = af_step(rep, letter)
+                targets = []
+                for part in residual.children if residual.kind == "or" else (residual,):
+                    n = bdd.node(part)
+                    reps.setdefault(n, part)
+                    targets.append(number(n))
+            row.append(targets)
+            edges.extend((q, letter, t) for t in targets)
     finals = [number(bdd.TRUE)] if bdd.TRUE in reps else []
     return build_automaton(alphabet, len(order), 0, "finite", edges,
                            finals=finals)

@@ -112,6 +112,11 @@ def _idx_bits(arity: int) -> int:
     return (arity - 1).bit_length() if arity > 1 else 0
 
 
+def _quote(text: str) -> str:
+    """A HOA string: text in double quotes, with \\ and " escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_hoa(a: Automaton, name: str | None = None) -> str:
     if a.kind == "finite":
         raise HoaError("finite-word automata have no HOA form")
@@ -123,10 +128,10 @@ def to_hoa(a: Automaton, name: str | None = None) -> str:
 
     lines = ["HOA: v1", "tool: \"gfmredux\""]
     if name:
-        lines.append(f"name: \"{name}\"")
+        lines.append(f"name: {_quote(name)}")
     lines.append(f"States: {a.n_states}")
     lines.append(f"Start: {a.initial}")
-    lines.append(f"AP: {len(ap_names)} " + " ".join(f'"{n}"' for n in ap_names))
+    lines.append(f"AP: {len(ap_names)} " + " ".join(map(_quote, ap_names)))
     if arity > 1:
         lines.append(f"x-index-arity: {arity}")
     if a.kind == "buchi":
@@ -155,6 +160,7 @@ def to_hoa(a: Automaton, name: str | None = None) -> str:
 # ----------------------------------------------------------------- import
 
 _QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
+_ESCAPED = re.compile(r"\\(.)")
 
 
 def _header_int(key: str, val: str) -> int:
@@ -197,7 +203,8 @@ def from_hoa(text: str) -> Automaton:
         elif key == "AP":
             parts = val.split(None, 1)
             count = _header_int(key, parts[0] if parts else "")
-            names = _QUOTED.findall(parts[1] if len(parts) > 1 else "")
+            names = [_ESCAPED.sub(r"\1", n)
+                     for n in _QUOTED.findall(parts[1] if len(parts) > 1 else "")]
             if len(names) != count:
                 raise HoaError(f"AP count {count} does not match {len(names)} names")
             ap_names = names

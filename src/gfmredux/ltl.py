@@ -2,6 +2,8 @@
 
 Formulas are immutable trees.  Atoms are indices into a shared AtomSet so
 that letters of an alphabet can be plain bitmasks; printing recovers names.
+Each formula computes its hash and its printed form (the sort key of `fold`)
+once, on first use, and keeps them; neither takes part in `==` or pickling.
 """
 
 from __future__ import annotations
@@ -66,6 +68,21 @@ class LtlFormula:
     children: tuple["LtlFormula", ...] = ()
     atom_set: AtomSet | None = None
     atom_index: int = -1
+
+    # caches filled on first use, not fields: == ignores them, and
+    # __reduce__ leaves them out of pickles (str hashes differ by process)
+    _hash = None
+    _text = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.kind, self.children, self.atom_set, self.atom_index))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return LtlFormula, (self.kind, self.children, self.atom_set, self.atom_index)
 
     @property
     def name(self) -> str:
@@ -171,10 +188,20 @@ def _atom_str(name: str) -> str:
 
 
 def to_string(f: LtlFormula) -> str:
-    return _pstr(f, 1)
+    s = f._text
+    if s is None:
+        s = _print(f)
+        object.__setattr__(f, "_text", s)
+    return s
 
 
 def _pstr(f: LtlFormula, need: int) -> str:
+    """f printed, in parentheses if it binds looser than `need`."""
+    s = to_string(f)
+    return "(" + s + ")" if _prec(f) < need else s
+
+
+def _print(f: LtlFormula) -> str:
     k = f.kind
     if k == "tt":
         s = "tt"
@@ -196,8 +223,6 @@ def _pstr(f: LtlFormula, need: int) -> str:
         s = " | ".join(_pstr(c, 2) for c in f.children)
     else:  # pragma: no cover
         raise LtlError(f"unknown kind {k!r}")
-    if _prec(f) < need:
-        return "(" + s + ")"
     return s
 
 
@@ -377,13 +402,20 @@ def _nnf(f: LtlFormula, negate: bool) -> LtlFormula:
 
 def is_cosafety(f: LtlFormula) -> bool:
     """True iff the negation normal form of f contains no G and no R."""
-    return all(g.kind not in ("globally", "release") for g in subformulas(to_nnf(f)))
+    return is_cosafety_nnf(to_nnf(f))
+
+
+def is_cosafety_nnf(g: LtlFormula) -> bool:
+    """is_cosafety for g already in negation normal form."""
+    return all(h.kind not in ("globally", "release") for h in subformulas(g))
 
 
 # ------------------------------------------------------------- fold / af
 
-# one translation folds a few hundred distinct formulas (605 for LIB 9); the
-# bound keeps a long-lived process from holding every formula it ever folded
+# one translation folds a few hundred distinct formulas (605 for LIB 9) and
+# derives at most a few thousand (subformula, letter) pairs (2,370 for LIB 6;
+# LIB 9 derives 28,196 pairs but repeats none, so eviction costs it nothing);
+# the bounds keep a long-lived process from holding every formula it ever saw
 @lru_cache(maxsize=4096)
 def fold(f: LtlFormula) -> LtlFormula:
     """Canonical form: flatten and/or, drop units, absorb tt/ff, dedupe, sort."""
@@ -422,6 +454,7 @@ def fold(f: LtlFormula) -> LtlFormula:
     return LtlFormula(k, tuple(map(fold, f.children)))
 
 
+@lru_cache(maxsize=4096)  # bound: see fold
 def _af(f: LtlFormula, letter: int) -> LtlFormula:
     k = f.kind
     if k in ("tt", "ff"):
@@ -453,6 +486,20 @@ def af_step(f: LtlFormula, letter: int) -> LtlFormula:
     `letter` is a bitmask over f's AtomSet.  f must be co-safety in NNF.
     """
     return fold(_af(f, letter))
+
+
+def now_atoms(f: LtlFormula) -> int:
+    """The bitmask of the atoms f reads in the current letter, those not
+    under X: af_step(f, letter) depends on letter & now_atoms(f) alone."""
+    k = f.kind
+    if k == "atom":
+        return 1 << f.atom_index
+    if k == "next":
+        return 0
+    mask = 0
+    for c in f.children:
+        mask |= now_atoms(c)
+    return mask
 
 
 # ------------------------------------------------------- prop. equivalence

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gfmredux.automata import LassoWord, lasso_member
+from gfmredux.automata import Alphabet, LassoWord, build_automaton, lasso_member
 from gfmredux.gf_direct import (
     cosafety_to_nfa,
     gf_body,
@@ -11,8 +11,20 @@ from gfmredux.gf_direct import (
     nfa_to_gfm_gf,
     reset_subset_dba,
 )
-from gfmredux.ltl import LtlError, atoms_named, parse
-from oracles import eval_lasso
+from gfmredux.graph import numbering
+from gfmredux.ltl import (
+    AtomSet,
+    LtlError,
+    PropBdd,
+    af_step,
+    atom_set,
+    atoms_named,
+    fold,
+    parse,
+    to_nnf,
+)
+from gfmredux.patterns import gen_pattern
+from oracles import eval_lasso, random_cosafety_text
 
 
 def test_gf_body_accepts_and_strips():
@@ -121,6 +133,58 @@ def test_explicit_atom_set_controls_alphabet():
     a = gf_to_gfm(parse("GF a", ap), ap)
     assert a.alphabet.atoms == ap
     assert a.alphabet.size == 8
+
+
+def test_formula_over_another_atom_set_is_refused():
+    # read against ("b", "a"), atom a's index 0 would name b
+    with pytest.raises(LtlError, match="differ"):
+        gf_to_gfm(parse("G F a"), atoms_named("b", "a"))
+    # b has no bit in a one-atom alphabet
+    with pytest.raises(LtlError, match="differ"):
+        gf_to_gfm(parse("G F (a & X b)"), atoms_named("a"))
+    with pytest.raises(LtlError, match="differ"):
+        gf_to_dba(parse("G F a"), atoms_named("b", "a"))
+    with pytest.raises(LtlError, match="differ"):
+        cosafety_to_nfa(parse("a"), atoms_named("a", "b"))
+    # an equal set built apart is the same alphabet; a formula without atoms
+    # takes any
+    assert gf_to_gfm(parse("G F a"), atoms_named("a")).n_states == 1
+    assert gf_to_gfm(parse("G F tt"), atoms_named("a", "b")).alphabet.size == 4
+
+
+def _per_letter_nfa(f, atoms):
+    """cosafety_to_nfa without letter classes: one derivative for every
+    state and every letter."""
+    g = fold(to_nnf(f))
+    alphabet = Alphabet(atoms or atom_set(g) or AtomSet(()), 1)
+    bdd = PropBdd()
+    order, number = numbering(bdd.node(g))
+    reps = {order[0]: g}
+    edges = []
+    for q, node in enumerate(order):
+        for letter in alphabet.letters():
+            residual = af_step(reps[node], letter)
+            for part in residual.children if residual.kind == "or" else (residual,):
+                n = bdd.node(part)
+                reps.setdefault(n, part)
+                edges.append((q, letter, number(n)))
+    finals = [number(bdd.TRUE)] if bdd.TRUE in reps else []
+    return build_automaton(alphabet, len(order), 0, "finite", edges, finals=finals)
+
+
+def test_letter_classes_give_the_per_letter_nfa():
+    bodies = [(gf_body(gen_pattern("TDR", (n,))), None) for n in range(2, 7)]
+    bodies += [(gf_body(gen_pattern("LIB", (n,))), None) for n in range(2, 5)]
+    bodies += [(gf_body(gen_pattern("NCS", params)), None) for params in (
+        (1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3),
+        (1, 2, 3, 1), (1, 2, 3, 2), (1, 2, 3, 3), (1, 2, 3, 4),
+    )]
+    abc = atoms_named("a", "b", "c")
+    rng = random.Random(7)
+    bodies += [(parse(random_cosafety_text(rng, max_depth=4), abc), abc)
+               for _ in range(200)]
+    for f, atoms in bodies:
+        assert cosafety_to_nfa(f, atoms) == _per_letter_nfa(f, atoms), str(f)
 
 
 def test_converters_reject_wrong_kinds():

@@ -19,6 +19,18 @@ def test_round_trip_plain():
     assert b.marked == a.marked
 
 
+def test_quoted_strings_are_escaped():
+    ap = atoms_named("a\\", "x\\y")
+    f = parse('G F ("a\\" & X "x\\y")', ap)
+    a = gf_to_gfm(f, ap)
+    text = to_hoa(a, name=str(parse('G F "x y"')))
+    assert 'name: "GF\\"x y\\""' in text.splitlines()
+    assert 'AP: 2 "a\\\\" "x\\\\y"' in text.splitlines()
+    b = from_hoa(text)
+    assert b.alphabet.atoms.names == ("a\\", "x\\y")
+    assert b.transitions == a.transitions and b.marked == a.marked
+
+
 def test_round_trip_indexed_arity():
     res = redux(gf_to_gfm(parse("GF(a & XXXb)")))
     mini = res.report.minimized

@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -26,6 +28,7 @@ from gfmredux.ltl import (
     parse,
     prop_equiv,
     release,
+    subformulas,
     to_nnf,
     to_string,
     until,
@@ -145,6 +148,32 @@ def test_is_cosafety():
     assert not is_cosafety(parse("Ga"))
     assert not is_cosafety(parse("!(a U b)"))
     assert not is_cosafety(parse("F G a"))
+
+
+def test_formula_hash_and_text_are_cached_but_not_fields():
+    text = "a U (b & X a) | F (b & X X a)"
+    f, g = parse(text, AB), parse(text, AB)
+    built = lor(until(A, land(B, nxt(A))), ev(land(B, nxt(nxt(A)))))
+    assert f is not g and f == g == built
+    assert hash(f) == hash(g) == hash(built)
+    h = hash(f)
+    assert to_string(f) == to_string(built) == "a U (b & Xa) | F(b & XXa)"
+    fold(f)
+    assert hash(f) == h
+    # a formula printed before it is hashed hashes the same
+    fresh = parse(text, AB)
+    to_string(fresh)
+    assert hash(fresh) == h
+    with pytest.raises(FrozenInstanceError):
+        f.kind = "and"
+    with pytest.raises(FrozenInstanceError):
+        f.children = ()
+    # the cached hash would be wrong in another process: pickles drop it
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy == f
+    assert all("_hash" not in vars(s) and "_text" not in vars(s)
+               for s in subformulas(copy))
+    assert hash(copy) == h
 
 
 def test_fold_aci():

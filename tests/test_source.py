@@ -101,20 +101,21 @@ def test_no_unused_imports_in_package():
     assert found == {}
 
 
+def _name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
 def unbounded_caches(tree: ast.Module) -> list[str]:
     """Module-level functions cached without a bound: decorated with
     `lru_cache(maxsize=None)`, `lru_cache(None)` or `cache`, plain or as
     `functools.` attributes."""
-    def name(node):
-        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-
     def unbounded(dec):
         if not isinstance(dec, ast.Call):
-            return name(dec) == "cache"
-        if name(dec.func) == "cache":
+            return _name(dec) == "cache"
+        if _name(dec.func) == "cache":
             return True
         size = [kw.value for kw in dec.keywords if kw.arg == "maxsize"] + dec.args[:1]
-        return (name(dec.func) == "lru_cache" and bool(size)
+        return (_name(dec.func) == "lru_cache" and bool(size)
                 and isinstance(size[0], ast.Constant) and size[0].value is None)
 
     return [f"{stmt.name} (line {stmt.lineno})" for stmt in tree.body
@@ -148,6 +149,48 @@ def test_package_caches_are_bounded():
         if (unbounded := unbounded_caches(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert found == {}
+
+
+def cached_functions(tree: ast.Module) -> list[str]:
+    """Functions at any depth (methods and nested functions included)
+    decorated with `lru_cache` or `cache`, plain, called or as `functools.`
+    attributes."""
+    def cached(dec):
+        return _name(dec.func if isinstance(dec, ast.Call) else dec) in ("lru_cache", "cache")
+
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(cached(dec) for dec in node.decorator_list)]
+
+
+def test_cached_function_scan_finds_them():
+    tree = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@lru_cache(maxsize=64)\ndef a(x):\n    return x\n\n"
+        "@functools.cache\ndef b(x):\n    return x\n\n"
+        "def c(x):\n    return x\n\n"
+        "class K:\n    @lru_cache\n    def d(self):\n        return 1\n\n"
+        "def e():\n    @cache\n    def f(x):\n        return x\n    return f\n"
+    )
+    assert sorted(cached_functions(tree)) == ["a", "b", "d", "f"]
+
+
+def test_benchmark_empties_every_cache():
+    """perfbench/run.py empties, before each operation, the caches it finds
+    as `cache_clear` attributes of the package's modules.  Every cached
+    function in the source must be one of those, so no memo survives from
+    one operation into the next."""
+    declared, found = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        mod = gfmredux if path.stem == "__init__" else importlib.import_module(
+            f"gfmredux.{path.stem}")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        declared |= {f"{path.stem}.{n}" for n in cached_functions(tree)}
+        found |= {f"{path.stem}.{n}" for n, v in vars(mod).items()
+                  if callable(getattr(v, "cache_clear", None))
+                  and getattr(v, "__module__", None) == mod.__name__}
+    assert {"ltl.fold", "ltl._af"} <= declared
+    assert declared == found
 
 
 def non_stdlib_imports(tree: ast.Module) -> list[str]:
