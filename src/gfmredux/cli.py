@@ -17,7 +17,7 @@ import time
 from importlib import resources
 
 from .automata import AutomatonError, LassoWord, complete, lasso_member
-from .gf_direct import gf_body, gf_to_dba, gf_to_gfm
+from .gf_direct import gf_body, gf_to_gfm
 from .gfg_min import nca_lang_equiv
 from .hoa import HoaError, from_hoa, to_hoa
 from .ltl import LtlError, LtlParseError, parse, to_string
@@ -26,14 +26,12 @@ from .mdp import (
     mdp_from_json,
     mdp_to_json,
     product_nba,
-    product_pa,
     strategy_to_json,
     synthesize,
 )
 from .patterns import FAMILIES, gen_pattern
 from .redux import pa_to_json, redux
-
-ROUTES = ("gf-direct", "redux-pa", "dba-oracle")
+from .routes import ROUTES
 
 
 class GridError(ValueError):
@@ -128,16 +126,9 @@ def _build_product(args):
         return product_nba(m, aut), "nba-file"
     if not args.formula:
         raise LtlError("need --formula or --nba")
-    f = parse(args.formula, m.alphabet.atoms)
-    route = args.route
-    if route == "gf-direct":
-        return product_nba(m, gf_to_gfm(f, m.alphabet.atoms)), route
-    if route == "redux-pa":
-        result = redux(gf_to_gfm(f, m.alphabet.atoms))
-        return product_pa(m, result.pa), route
-    if route == "dba-oracle":
-        return product_nba(m, gf_to_dba(f, m.alphabet.atoms)), route
-    raise LtlError(f"unknown route {route!r}")
+    atoms = m.alphabet.atoms
+    route = ROUTES[args.route]
+    return route.product(m, route.build(parse(args.formula, atoms), atoms)), args.route
 
 
 def _cmd_product(args) -> int:
@@ -196,23 +187,15 @@ def _bench_case(text: str, conn):
     sizes = {}
     times = {}
     f = parse(text)
-    t0 = time.perf_counter()
-    gfm = gf_to_gfm(f)
-    times["gfm"] = time.perf_counter() - t0
-    sizes["gfm"] = gfm.n_states
-    t0 = time.perf_counter()
-    dba = gf_to_dba(f)
-    times["reset_dba"] = time.perf_counter() - t0
-    sizes["reset_dba"] = dba.n_states
-    t0 = time.perf_counter()
-    result = redux(gfm)
-    times["redux_min"] = time.perf_counter() - t0
-    sizes["redux_min"] = result.report.minimized.n_states
+    for route in ROUTES.values():
+        t0 = time.perf_counter()
+        sizes[route.column] = route.build(f, None).n_states
+        times[route.column] = time.perf_counter() - t0
     conn.send((sizes, times))
     conn.close()
 
 
-_BENCH_COLUMNS = ("gfm", "reset_dba", "redux_min")
+_BENCH_COLUMNS = tuple(route.column for route in ROUTES.values())
 
 
 def _run_bench(cases, timeout: float):
@@ -224,33 +207,34 @@ def _run_bench(cases, timeout: float):
         proc = ctx.Process(target=_bench_case, args=(text, child))
         proc.start()
         child.close()
-        sizes = None
+        sizes = {}  # no sizes: the case was cut off
         if parent.poll(timeout):
             try:
-                sizes, times = parent.recv()
-                all_times[name] = times
+                sizes, all_times[name] = parent.recv()
             except EOFError:
-                sizes = None
+                pass
         proc.join(timeout=1)
         if proc.is_alive():
             proc.terminate()
             proc.join()
         parent.close()
-        if sizes is None:
-            rows.append((name, {c: None for c in _BENCH_COLUMNS}))
-        else:
-            rows.append((name, sizes))
+        rows.append((name, sizes))
     return rows, all_times
+
+
+def _bench_cell(size: int | None, best: int | None = None) -> str:
+    """One size of a bench table: `timeout` for a case cut off, bold (in
+    Markdown) when it is the row's minimum `best`."""
+    if size is None:
+        return "timeout"
+    return f"**{size}**" if size == best else str(size)
 
 
 def _bench_csv(rows) -> str:
     out = ["name," + ",".join(_BENCH_COLUMNS)]
     for name, sizes in rows:
-        cells = [
-            "timeout" if sizes[c] is None else str(sizes[c])
-            for c in _BENCH_COLUMNS
-        ]
-        out.append(",".join([name] + cells))
+        out.append(",".join([name] + [_bench_cell(sizes.get(c))
+                                      for c in _BENCH_COLUMNS]))
     return "\n".join(out) + "\n"
 
 
@@ -259,28 +243,19 @@ def _bench_md(rows) -> str:
     sep = "|" + "---|" * (len(_BENCH_COLUMNS) + 1)
     out = [header, sep]
     for name, sizes in rows:
-        known = [v for v in sizes.values() if v is not None]
-        best = min(known) if known else None
-        cells = []
-        for c in _BENCH_COLUMNS:
-            v = sizes[c]
-            if v is None:
-                cells.append("timeout")
-            elif v == best:
-                cells.append(f"**{v}**")
-            else:
-                cells.append(str(v))
+        best = min(sizes.values(), default=None)
+        cells = [_bench_cell(sizes.get(c), best) for c in _BENCH_COLUMNS]
         out.append("| " + " | ".join([name] + cells) + " |")
     return "\n".join(out) + "\n"
 
 
 def _grid_cases(grid) -> list[tuple[str, str]]:
     """(name, formula text) of each case of a bench grid.  Raises GridError
-    if the grid is malformed or a formula does not parse, NotGfError if a
-    formula is not GF(co-safety)."""
+    if the grid is malformed, two cases share a name or a formula does not
+    parse, NotGfError if a formula is not GF(co-safety)."""
     if not isinstance(grid, dict) or not isinstance(grid.get("cases"), list):
         raise GridError("bench grid must be a JSON object with a list 'cases'")
-    cases = []
+    cases = {}
     for i, entry in enumerate(grid["cases"]):
         entry = entry if isinstance(entry, dict) else {}
         family, params = entry.get("family"), entry.get("params", [])
@@ -295,6 +270,11 @@ def _grid_cases(grid) -> list[tuple[str, str]]:
         else:
             raise GridError(f"bench grid case {i} needs a string 'formula', or a "
                             "string 'family' and a list of integers 'params'")
+        if not isinstance(name, str):
+            raise GridError(f"bench grid case {i}: 'name' {name!r} is not a string")
+        if name in cases:
+            raise GridError(f"bench grid case {i}: name {name!r} is used by an "
+                            "earlier case")
         try:
             f = parse(text)
         except LtlParseError as exc:
@@ -303,8 +283,8 @@ def _grid_cases(grid) -> list[tuple[str, str]]:
             gf_body(f)
         except LtlError as exc:
             raise NotGfError(f"bench grid case {i}: {exc}") from None
-        cases.append((name, text))
-    return cases
+        cases[name] = text
+    return list(cases.items())
 
 
 def _cmd_bench(args) -> int:
@@ -326,10 +306,7 @@ def _cmd_bench(args) -> int:
     if args.times_out:
         _write_json(args.times_out, all_times)
     for name, sizes in rows:
-        cells = ", ".join(
-            f"{c}={'timeout' if sizes[c] is None else sizes[c]}"
-            for c in _BENCH_COLUMNS
-        )
+        cells = ", ".join(f"{c}={_bench_cell(sizes.get(c))}" for c in _BENCH_COLUMNS)
         print(f"{name}: {cells}")
     return 0
 
@@ -482,11 +459,20 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; the exit codes are listed in README.md."""
     args = _make_parser().parse_args(argv)
+    # exact values and product probabilities can have more digits than CPython
+    # turns into text by default (4,300 from 3.10.7 and 3.11 on): lift that
+    # limit while the subcommand runs, and give the caller its own back
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def main_gen_pattern(argv=None) -> int:

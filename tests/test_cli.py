@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import gfmredux
-from gfmredux import mdp
+from gfmredux import ROUTES, gf_to_gfm, mdp, parse, product_nba, synthesize
 from gfmredux.cli import EXACT_DEFAULT_LIMIT, main, main_gen_pattern, main_ltl2gfm_gf
 from gfmredux.hoa import from_hoa
 from gfmredux.redux import pa_from_json
@@ -96,7 +97,7 @@ def test_product_json(fixture_file, tmp_path):
 
 def test_solve_routes_agree(fixture_file, capsys):
     mdp = fixture_file("coinflip_mdp.json")
-    for route in ("gf-direct", "redux-pa", "dba-oracle"):
+    for route in ROUTES:
         assert main(["solve", "--mdp", mdp, "--formula", "GF(b | c)",
                      "--route", route]) == 0
         assert capsys.readouterr().out == (
@@ -105,6 +106,64 @@ def test_solve_routes_agree(fixture_file, capsys):
         assert main(["solve", "--mdp", mdp, "--formula", "GF b",
                      "--route", route]) == 0
         assert capsys.readouterr().out.startswith("value = 1/2  ")
+
+
+def _int(digits: str) -> int:
+    """int(digits) in pieces short enough for CPython's limit on the digits
+    of one conversion, so the test does not have to lift it."""
+    n = 0
+    for i in range(0, len(digits), 1000):
+        n = n * 10 ** len(digits[i:i + 1000]) + int(digits[i:i + 1000])
+    return n
+
+
+def test_exact_values_print_at_any_length(tmp_path, capsys):
+    """A 100-state chain that reaches the goal with probability
+    ((2**150 - 1) / 2**150) ** 100: its denominator has 4,516 digits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    n = 100
+    states = [{"label": [], "actions": [{"name": "go", "to": [
+        [i + 1 if i + 1 < n else n + 1, f"{2**150 - 1}/{2**150}"],
+        [n, f"1/{2**150}"],
+    ]}]} for i in range(n)]
+    states += [{"label": [], "actions": [{"name": "stay", "to": [[n, "1"]]}]},
+               {"label": ["a"], "actions": [{"name": "stay", "to": [[n + 1, "1"]]}]}]
+    chain = {"atoms": ["a"], "initial": 0, "states": states}
+    path, out = tmp_path / "chain.json", tmp_path / "res.json"
+    path.write_text(json.dumps(chain), encoding="utf-8")
+    m = mdp.mdp_from_json(chain)
+    atoms = m.alphabet.atoms
+    value = synthesize(product_nba(m, gf_to_gfm(parse("GF a", atoms), atoms))).value
+    assert value == Fraction(2**150 - 1, 2**150) ** n
+    assert main(["solve", "--mdp", str(path), "--formula", "GF a",
+                 "--out", str(out)]) == 0
+    shown = capsys.readouterr().out
+    assert shown.endswith("  [gf-direct, exact, product 102 states]\n")
+    printed = shown.removeprefix("value = ").split()[0]
+    written = json.loads(out.read_text())["value"]
+    for text in (printed, written):
+        num, den = text.split("/")
+        assert Fraction(_int(num), _int(den)) == value
+    assert len(den) == 4516
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+    # product probabilities longer than the limit are read and written whole
+    big = "9" * 4400 + "/1" + "0" * 4400
+    rest = "1/1" + "0" * 4400
+    coin = {"atoms": ["a"], "initial": 0, "states": [
+        {"label": [], "actions": [{"name": "go", "to": [[1, big], [2, rest]]}]},
+        {"label": ["a"], "actions": [{"name": "stay", "to": [[1, "1"]]}]},
+        {"label": [], "actions": [{"name": "stay", "to": [[2, "1"]]}]},
+    ]}
+    path.write_text(json.dumps(coin), encoding="utf-8")
+    for route in ROUTES:
+        assert main(["product", "--mdp", str(path), "--formula", "GF a",
+                     "--route", route, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        probs = {p for state in doc["mdp"]["states"]
+                 for action in state["actions"] for _, p in action["to"]}
+        assert {big, rest} <= probs
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_solve_nba_override(fixture_file, tmp_path, capsys):
@@ -295,12 +354,29 @@ def test_bench_timeout_cells(tmp_path, capsys):
         "cases": [{"family": "lib", "params": [8]}],
         "timeout": 0.05,
     }))
-    csv = tmp_path / "b.csv"
-    assert main(["bench", "--grid", str(grid), "--csv", str(csv)]) == 0
-    capsys.readouterr()
+    csv, md = tmp_path / "b.csv", tmp_path / "b.md"
+    assert main(["bench", "--grid", str(grid), "--csv", str(csv),
+                 "--md", str(md)]) == 0
+    assert capsys.readouterr().out == (
+        "lib[8]: gfm=timeout, reset_dba=timeout, redux_min=timeout\n"
+    )
     assert csv.read_text() == (
         "name,gfm,reset_dba,redux_min\nlib[8],timeout,timeout,timeout\n"
     )
+    assert md.read_text().splitlines()[2] == "| lib[8] | timeout | timeout | timeout |"
+
+
+@pytest.mark.parametrize("cases, message", [
+    ([{"family": "tdr", "params": [2]}, {"name": "tdr[2]", "formula": "GF(a & X b)"}],
+     "error: bench grid case 1: name 'tdr[2]' is used by an earlier case\n"),
+    ([{"name": ["x"], "formula": "GF a"}],
+     "error: bench grid case 0: 'name' ['x'] is not a string\n"),
+], ids=["repeated", "not-a-string"])
+def test_bench_rejects_bad_case_names(cases, message, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cases": cases}))
+    assert main(["bench", "--grid", str(grid)]) == 1
+    assert capsys.readouterr() == ("", message)
 
 
 @pytest.mark.parametrize("timeout", [

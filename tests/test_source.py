@@ -363,3 +363,26 @@ def test_library_name_scan_finds_planted_names():
 
 def test_readme_library_names_resolve():
     assert unresolved_library_names(README.read_text(encoding="utf-8")) == []
+
+
+def unnamed_routes(readme: str, routes) -> list[str]:
+    """Names of `routes` that the README's Routes paragraph (the one that
+    begins "Routes:") does not give in backticks."""
+    paragraph = next((p for p in readme.split("\n\n") if p.startswith("Routes:")), "")
+    named = set(re.findall(r"`([^`]+)`", paragraph))
+    return [route for route in routes if route not in named]
+
+
+def test_route_scan_finds_planted_routes():
+    readme = (
+        "# pkg\n\nRoutes: `gf-direct` takes the product with the GFM\n"
+        "automaton; `dba-oracle` and gfg-min are others.\n\n"
+        "`redux-pa` is named after the paragraph.\n"
+    )
+    routes = ("gf-direct", "dba-oracle", "redux-pa", "gfg-min")
+    assert unnamed_routes(readme, routes) == ["redux-pa", "gfg-min"]
+    assert unnamed_routes("# pkg\n", routes) == list(routes)
+
+
+def test_readme_names_every_route():
+    assert unnamed_routes(README.read_text(encoding="utf-8"), gfmredux.ROUTES) == []
