@@ -9,6 +9,8 @@ The pair products behind language inclusion, language classes and safe
 containment read each automaton through integer tables over its letter
 classes (letters with the same successors and marks from every state, one
 representative each) and number a pair (p, q) as the integer p * n2 + q.
+Constructions walk an alphabet through the same tables, one cell per class
+of their input; `build_automaton` is the helper for callers with edge lists.
 """
 
 from __future__ import annotations

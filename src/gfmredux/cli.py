@@ -8,6 +8,8 @@ as standalone commands.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import multiprocessing
 import os
@@ -231,11 +233,12 @@ def _bench_cell(size: int | None, best: int | None = None) -> str:
 
 
 def _bench_csv(rows) -> str:
-    out = ["name," + ",".join(_BENCH_COLUMNS)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")  # quotes a name with , or "
+    writer.writerow(["name", *_BENCH_COLUMNS])
     for name, sizes in rows:
-        out.append(",".join([name] + [_bench_cell(sizes.get(c))
-                                      for c in _BENCH_COLUMNS]))
-    return "\n".join(out) + "\n"
+        writer.writerow([name] + [_bench_cell(sizes.get(c)) for c in _BENCH_COLUMNS])
+    return out.getvalue()
 
 
 def _bench_md(rows) -> str:
@@ -245,7 +248,7 @@ def _bench_md(rows) -> str:
     for name, sizes in rows:
         best = min(sizes.values(), default=None)
         cells = [_bench_cell(sizes.get(c), best) for c in _BENCH_COLUMNS]
-        out.append("| " + " | ".join([name] + cells) + " |")
+        out.append("| " + " | ".join([name.replace("|", "\\|")] + cells) + " |")
     return "\n".join(out) + "\n"
 
 

@@ -5,11 +5,13 @@ per propositional-equivalence class of derivatives, with top-level
 disjunctions split nondeterministically).  Wrapping the NFA with reset
 transitions yields the GFM Buchi automaton; determinising the same NFA with
 a reset-subset rule yields a deterministic Buchi oracle for GF(body).
+Each step builds its `transitions` rows directly: both wraps compute one
+cell per letter class of the NFA (`Automaton._tables`) for all its letters.
 """
 
 from __future__ import annotations
 
-from .automata import Alphabet, Automaton, build_automaton
+from .automata import Alphabet, Automaton
 from .graph import coreach, numbering
 from .ltl import (
     AtomSet,
@@ -60,26 +62,25 @@ def cosafety_to_nfa(f: LtlFormula, atoms: AtomSet | None = None) -> Automaton:
     bdd = PropBdd()
     order, number = numbering(bdd.node(g))
     reps = {order[0]: g}  # the first formula met for each BDD node
-    edges = []
-    for q, node in enumerate(order):
+    rows = []
+    for node in order:
         rep = reps[node]
         mask = now_atoms(rep)
-        row: list[list[int]] = []  # successor ids by letter
+        row: list[tuple[int, ...]] = []  # successor ids by letter
         for letter in alphabet.letters():
             if letter & mask != letter:  # its projection came first
-                targets = row[letter & mask]
-            else:
-                residual = af_step(rep, letter)
-                targets = []
-                for part in residual.children if residual.kind == "or" else (residual,):
-                    n = bdd.node(part)
-                    reps.setdefault(n, part)
-                    targets.append(number(n))
-            row.append(targets)
-            edges.extend((q, letter, t) for t in targets)
-    finals = [number(bdd.TRUE)] if bdd.TRUE in reps else []
-    return build_automaton(alphabet, len(order), 0, "finite", edges,
-                           finals=finals)
+                row.append(row[letter & mask])
+                continue
+            residual = af_step(rep, letter)
+            targets = set()
+            for part in residual.children if residual.kind == "or" else (residual,):
+                n = bdd.node(part)
+                reps.setdefault(n, part)
+                targets.add(number(n))
+            row.append(tuple(sorted(targets)))
+        rows.append(tuple(row))
+    finals = frozenset({number(bdd.TRUE)} if bdd.TRUE in reps else ())
+    return Automaton(alphabet, "finite", 0, tuple(rows), final_states=finals)
 
 
 def _useful_states(nfa: Automaton) -> set[int]:
@@ -92,8 +93,8 @@ def _useful_states(nfa: Automaton) -> set[int]:
 
 
 def _universal_buchi(alphabet: Alphabet) -> Automaton:
-    edges = [(0, letter, 0, True) for letter in alphabet.letters()]
-    return build_automaton(alphabet, 1, 0, "buchi", edges)
+    return Automaton(alphabet, "buchi", 0, (((0,),) * alphabet.size,),
+                     frozenset((0, letter, 0) for letter in alphabet.letters()))
 
 
 def nfa_to_gfm_gf(nfa: Automaton) -> Automaton:
@@ -110,17 +111,18 @@ def nfa_to_gfm_gf(nfa: Automaton) -> Automaton:
         return _universal_buchi(nfa.alphabet)
     useful = _useful_states(nfa)
 
+    t, finals = nfa._tables, nfa.final_states
     order, number = numbering(nfa.initial)
-    edges = []
+    rows, marked = [], set()
     for i, q in enumerate(order):
-        for letter in nfa.alphabet.letters():
-            base = nfa.succ(q, letter)
-            fires = any(s in nfa.final_states for s in base)
-            targets = {s for s in base if s in useful and s not in nfa.final_states}
-            for s in sorted(targets):
-                edges.append((i, letter, number(s)))
-            edges.append((i, letter, 0, fires))
-    return build_automaton(nfa.alphabet, len(order), 0, "buchi", edges)
+        cells = []
+        for c, base in enumerate(t.succ[q]):
+            targets = {number(s) for s in base if s in useful and s not in finals}
+            cells.append(tuple(sorted(targets | {0})))
+            if not finals.isdisjoint(base):
+                marked.update((i, x, 0) for x in t.members[c])
+        rows.append(tuple(map(cells.__getitem__, t.letter_class)))
+    return Automaton(nfa.alphabet, "buchi", 0, tuple(rows), frozenset(marked))
 
 
 def reset_subset_dba(nfa: Automaton) -> Automaton:
@@ -137,24 +139,21 @@ def reset_subset_dba(nfa: Automaton) -> Automaton:
         return _universal_buchi(nfa.alphabet)
     useful = _useful_states(nfa)
 
+    t, finals = nfa._tables, nfa.final_states
     start = frozenset({nfa.initial})
     order, number = numbering(start)
-    edges = []
+    rows, marked = [], set()
     for i, subset in enumerate(order):
-        for letter in nfa.alphabet.letters():
-            targets = set()
-            for q in subset:
-                targets.update(
-                    s for s in nfa.succ(q, letter) if s in useful
-                )
-            if targets & nfa.final_states:
-                succ = start
-                fires = True
-            else:
-                succ = frozenset(targets | {nfa.initial})
-                fires = False
-            edges.append((i, letter, number(succ), fires))
-    return build_automaton(nfa.alphabet, len(order), 0, "buchi", edges)
+        cells = []
+        for c, members in enumerate(t.members):
+            targets = {s for q in subset for s in t.succ[q][c] if s in useful}
+            if targets.isdisjoint(finals):
+                cells.append((number(frozenset(targets | {nfa.initial})),))
+            else:  # some tracked run completes: reset with a mark
+                cells.append((number(start),))
+                marked.update((i, x, 0) for x in members)
+        rows.append(tuple(map(cells.__getitem__, t.letter_class)))
+    return Automaton(nfa.alphabet, "buchi", 0, tuple(rows), frozenset(marked))
 
 
 def gf_to_gfm(f: LtlFormula, atoms: AtomSet | None = None) -> Automaton:

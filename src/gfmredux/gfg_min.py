@@ -14,7 +14,8 @@ Everything stays deterministic, which keeps all checks polynomial.  Language
 classes and safe containment are read off one integer pair product per
 automaton (`automata._pair_relations`), and the equivalence checks are pair
 products too, all over letter classes, so an indexed alphabet costs one
-letter per class of letters that act alike, not one per index.
+letter per class of letters that act alike, not one per index; so do the
+breakpoint determinisation and the two determinism predicates.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .automata import (
     LassoWord,
     _pair_relations,
     _unchecked,
-    build_automaton,
     dcw_counterexample,
     prune_unreachable,
 )
@@ -96,18 +96,22 @@ def nca_determinize(a: Automaton, max_states: int = 200_000) -> Automaton:
         raise AutomatonError("nca_determinize needs a co-Buchi automaton")
     if not a.is_complete:
         raise AutomatonError("nca_determinize needs a complete automaton")
+    t = a._tables
     order, number = numbering((frozenset({a.initial}), frozenset({a.initial})))
-    edges = []
+    rows, marked = [], set()
     for i, (s_set, o_set) in enumerate(order):
-        for letter in a.alphabet.letters():
-            s_next = frozenset(s for q in s_set for s in a.succ(q, letter))
-            o_next = frozenset(s for q in o_set for s in a.succ(q, letter)
-                               if (q, letter, s) not in a.marked)
+        cells = []
+        for c, members in enumerate(t.members):
+            s_next = frozenset(s for q in s_set for s in t.succ[q][c])
+            o_next = frozenset(s for q in o_set for s in t.safe[q][c])
             j = number((s_next, o_next or s_next))  # O restarts from S
             if j >= max_states:
                 raise MinimizeError(f"determinisation exceeded {max_states} states")
-            edges.append((i, letter, j, not o_next))
-    return build_automaton(a.alphabet, len(order), 0, "cobuchi", edges)
+            cells.append((j,))
+            if not o_next:
+                marked.update((i, x, j) for x in members)
+        rows.append(tuple(map(cells.__getitem__, t.letter_class)))
+    return Automaton(a.alphabet, "cobuchi", 0, tuple(rows), frozenset(marked))
 
 
 def nca_lang_equiv(a1: Automaton, a2: Automaton) -> LassoWord | None:
@@ -242,14 +246,7 @@ def minimize(d: Automaton) -> Automaton:
 
 def safe_deterministic(a: Automaton) -> bool:
     """At most one unmarked move per (state, letter)."""
-    for q in a.states():
-        for letter in a.alphabet.letters():
-            unmarked = [
-                s for s in a.succ(q, letter) if (q, letter, s) not in a.marked
-            ]
-            if len(unmarked) > 1:
-                return False
-    return True
+    return all(len(cell) <= 1 for row in a._tables.safe for cell in row)
 
 
 def semantically_deterministic(a: Automaton, lang_class) -> bool:
@@ -257,9 +254,5 @@ def semantically_deterministic(a: Automaton, lang_class) -> bool:
 
     `lang_class` maps states to class ids (minimize stores this in meta).
     """
-    for q in a.states():
-        for letter in a.alphabet.letters():
-            ids = {lang_class[s] for s in a.succ(q, letter)}
-            if len(ids) > 1:
-                return False
-    return True
+    return all(len({lang_class[s] for s in cell}) <= 1
+               for row in a._tables.succ for cell in row)

@@ -142,13 +142,15 @@ def to_hoa(a: Automaton, name: str | None = None) -> str:
         lines.append("Acceptance: 1 Fin(0)")
     lines.append("properties: trans-labels explicit-labels trans-acc")
     lines.append("--BODY--")
+    t = a._tables
+    # each class's letters as AP valuations: atom mask, then index - 1 above it
+    valuations = [[x // arity | x % arity << n_atoms for x in xs] for xs in t.members]
     for q in a.states():
         lines.append(f"State: {q}")
         groups: dict[tuple[int, bool], list[int]] = {}
-        for letter in a.alphabet.letters():
-            ext = a.alphabet.mask(letter) | (a.alphabet.index(letter) - 1) << n_atoms
-            for s in a.succ(q, letter):
-                groups.setdefault((s, a.is_marked(q, letter, s)), []).append(ext)
+        for succs, safe, letters in zip(t.succ[q], t.safe[q], valuations):
+            for s in succs:
+                groups.setdefault((s, s not in safe), []).extend(letters)
         for (dst, marked) in sorted(groups):
             cubes = _cubes(groups[(dst, marked)], nbits)
             label = " | ".join(_cube_str(v, c, nbits) for v, c in cubes)

@@ -1,6 +1,8 @@
+import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -364,6 +366,33 @@ def test_bench_timeout_cells(tmp_path, capsys):
         "name,gfm,reset_dba,redux_min\nlib[8],timeout,timeout,timeout\n"
     )
     assert md.read_text().splitlines()[2] == "| lib[8] | timeout | timeout | timeout |"
+
+
+def _md_cells(line: str) -> list[str]:
+    """The cells of a Markdown table row: split at each unescaped |, with
+    \\| read back as |."""
+    return [cell.strip().replace("\\|", "|")
+            for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+
+
+@pytest.mark.parametrize("case, name", [
+    ({"formula": "GF(a | b)"}, "GF(a | b)"),
+    ({"name": "x,y", "formula": "GF a"}, "x,y"),
+    ({"name": 'say "x|y", z', "formula": "GF a"}, 'say "x|y", z'),
+], ids=["pipe-in-formula", "comma", "quote-pipe-comma"])
+def test_bench_tables_escape_case_names(case, name, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cases": [case]}))
+    csv_path, md_path = tmp_path / "b.csv", tmp_path / "b.md"
+    assert main(["bench", "--grid", str(grid), "--csv", str(csv_path),
+                 "--md", str(md_path)]) == 0
+    capsys.readouterr()
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["name", "gfm", "reset_dba", "redux_min"]
+    assert rows[1:] == [[name, "1", "1", "1"]]
+    lines = md_path.read_text(encoding="utf-8").splitlines()
+    assert [_md_cells(line) for line in lines[2:]] == [[name, "**1**", "**1**", "**1**"]]
 
 
 @pytest.mark.parametrize("cases, message", [

@@ -4,6 +4,7 @@ import pytest
 
 from gfmredux.automata import Alphabet, LassoWord, build_automaton, lasso_member
 from gfmredux.gf_direct import (
+    _useful_states,
     cosafety_to_nfa,
     gf_body,
     gf_to_dba,
@@ -172,6 +173,37 @@ def _per_letter_nfa(f, atoms):
     return build_automaton(alphabet, len(order), 0, "finite", edges, finals=finals)
 
 
+def _per_letter_wraps(nfa):
+    """nfa_to_gfm_gf and reset_subset_dba without letter classes: one cell
+    for every state and every letter, built from an edge list."""
+    alphabet, finals = nfa.alphabet, nfa.final_states
+    if nfa.initial in finals:
+        universal = build_automaton(alphabet, 1, 0, "buchi",
+                                    [(0, x, 0, True) for x in alphabet.letters()])
+        return universal, universal
+    useful = _useful_states(nfa)
+    order, number = numbering(nfa.initial)
+    edges = []
+    for i, q in enumerate(order):
+        for letter in alphabet.letters():
+            base = nfa.succ(q, letter)
+            targets = {s for s in base if s in useful and s not in finals}
+            edges += [(i, letter, number(s)) for s in sorted(targets)]
+            edges.append((i, letter, 0, any(s in finals for s in base)))
+    gfm = build_automaton(alphabet, len(order), 0, "buchi", edges)
+
+    start = frozenset({nfa.initial})
+    order, number = numbering(start)
+    edges = []
+    for i, subset in enumerate(order):
+        for letter in alphabet.letters():
+            targets = {s for q in subset for s in nfa.succ(q, letter) if s in useful}
+            fires = not targets.isdisjoint(finals)
+            succ = start if fires else frozenset(targets | {nfa.initial})
+            edges.append((i, letter, number(succ), fires))
+    return gfm, build_automaton(alphabet, len(order), 0, "buchi", edges)
+
+
 def test_letter_classes_give_the_per_letter_nfa():
     bodies = [(gf_body(gen_pattern("TDR", (n,))), None) for n in range(2, 7)]
     bodies += [(gf_body(gen_pattern("LIB", (n,))), None) for n in range(2, 5)]
@@ -184,7 +216,9 @@ def test_letter_classes_give_the_per_letter_nfa():
     bodies += [(parse(random_cosafety_text(rng, max_depth=4), abc), abc)
                for _ in range(200)]
     for f, atoms in bodies:
-        assert cosafety_to_nfa(f, atoms) == _per_letter_nfa(f, atoms), str(f)
+        nfa = cosafety_to_nfa(f, atoms)
+        assert nfa == _per_letter_nfa(f, atoms), str(f)
+        assert (nfa_to_gfm_gf(nfa), reset_subset_dba(nfa)) == _per_letter_wraps(nfa), str(f)
 
 
 def test_converters_reject_wrong_kinds():

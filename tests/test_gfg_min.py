@@ -272,14 +272,28 @@ def test_nca_determinize_keeps_the_language_of_random_automata():
     co-Buchi automaton accepts exactly the lassos the automaton accepts."""
     rng = random.Random(31)
     counts = [0, 0]
-    for _ in range(300):
-        al = Alphabet(AtomSet(("a", "b")[: rng.randint(1, 2)]), 1)
+
+    def cell(n):
+        return [(s, rng.random() < 0.3)
+                for s in rng.sample(range(n), rng.randint(1, min(2, n)))]
+
+    for k in range(450):
+        # after 300 plain alphabets, indexed ones whose indices of a mask
+        # mostly share one cell, so letter classes have several members
+        al = Alphabet(AtomSet(("a", "b")[: rng.randint(1, 2)]), 1 if k < 300 else 2 + k % 2)
         n = rng.randint(1, 4)
-        a = build_automaton(al, n, 0, "cobuchi", [
-            (q, x, s, rng.random() < 0.3)
-            for q in range(n) for x in al.letters()
-            for s in rng.sample(range(n), rng.randint(1, min(2, n)))
-        ])
+        if k < 300:
+            edges = [(q, x, s, hot) for q in range(n) for x in al.letters()
+                     for s, hot in cell(n)]
+        else:
+            edges = []
+            for q in range(n):
+                for m in range(1 << len(al.atoms)):
+                    shared = cell(n)
+                    for i in range(1, al.index_arity + 1):
+                        own = shared if rng.random() < 0.75 else cell(n)
+                        edges += [(q, al.letter(m, i), s, hot) for s, hot in own]
+        a = build_automaton(al, n, 0, "cobuchi", edges)
         det = nca_determinize(a)
         assert det.is_deterministic and det.is_complete
         for _ in range(4):
@@ -287,7 +301,7 @@ def test_nca_determinize_keeps_the_language_of_random_automata():
             accepted = brute_lasso_member(a, w)
             assert brute_lasso_member(det, w) == accepted, (a, w)
             counts[accepted] += 1
-    assert min(counts) >= 200, counts
+    assert min(counts) >= 300, counts
 
 
 def test_nca_determinize_state_cap():

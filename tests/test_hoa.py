@@ -76,6 +76,23 @@ def test_label_condensation_is_exact():
         b = from_hoa(to_hoa(a))
         assert b.transitions == a.transitions
         assert b.marked == a.marked
+    # indexed alphabets, whose indices of a mask mostly share one cell, so
+    # that (successor, mark) groups span letter classes of several letters
+    for arity in (2, 3) * 10:
+        al = Alphabet(atoms_named("a", "b"), arity)
+        edges = []
+        for q in range(3):
+            for m in range(4):
+                shared = [(s, rng.random() < 0.3) for s in range(3) if rng.random() < 0.4]
+                for i in range(1, arity + 1):
+                    own = shared if rng.random() < 0.75 else [
+                        (s, rng.random() < 0.3) for s in range(3) if rng.random() < 0.4]
+                    edges += [(q, al.letter(m, i), s, hot) for s, hot in own]
+        a = build_automaton(al, 3, 0, "buchi", edges)
+        b = from_hoa(to_hoa(a))
+        assert b.alphabet == a.alphabet
+        assert b.transitions == a.transitions
+        assert b.marked == a.marked
 
 
 def test_rejects_state_based_acceptance():

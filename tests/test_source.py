@@ -14,6 +14,13 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _package_trees() -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+
 def unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports but never reads."""
     imported: dict[str, int] = {}
@@ -78,11 +85,7 @@ def test_dead_private_names_scan_finds_them():
 
 
 def test_no_dead_private_names_in_package():
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(SRC.glob("*.py"))
-    }
-    assert dead_private_names(trees) == []
+    assert dead_private_names(_package_trees()) == []
 
 
 def test_unused_imports_scan_finds_them():
@@ -256,16 +259,17 @@ UNCHECKED_CALLERS = {
 }
 
 
-def unchecked_callers(trees: dict[str, ast.Module]) -> set[str]:
-    """Where the package calls `automata._unchecked`, under any name it is
-    imported as: "module.function" (or "module.Class.method") of the
-    definition holding the call, "module.<module>" for module-level code."""
+def callers(trees: dict[str, ast.Module], target: str) -> set[str]:
+    """Where the package calls the `automata` function `target`, under any
+    name it is imported as: "module.function" (or "module.Class.method") of
+    the definition holding the call, "module.<module>" for module-level
+    code."""
     found = set()
     for mod, tree in trees.items():
-        names = {"_unchecked"} | {
+        names = {target} | {
             alias.asname
             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-            for alias in node.names if alias.name == "_unchecked" and alias.asname
+            for alias in node.names if alias.name == target and alias.asname
         }
         owners = []
         for stmt in tree.body:
@@ -281,7 +285,7 @@ def unchecked_callers(trees: dict[str, ast.Module]) -> set[str]:
                 if isinstance(node, ast.Call) and (
                     isinstance(node.func, ast.Name) and node.func.id in names
                     or isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "_unchecked"
+                    and node.func.attr == target
                 ):
                     found.add(owner)
     return found
@@ -301,17 +305,37 @@ def test_unchecked_scan_finds_planted_calls():
             "DEFAULT = _unchecked(Automaton)\n"
         ),
     }
-    assert unchecked_callers(trees) == {
+    assert callers(trees, "_unchecked") == {
         "mdp.mdp_from_json", "mdp._product", "hoa.Reader.from_hoa", "hoa.<module>",
     }
 
 
 def test_unchecked_construction_only_from_checked_inputs():
+    assert callers(_package_trees(), "_unchecked") == UNCHECKED_CALLERS
+
+
+def test_edge_list_scan_finds_planted_calls():
     trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(SRC.glob("*.py"))
+        "__init__": ast.parse("from .automata import build_automaton\n"
+                              "__all__ = ['build_automaton']\n"),
+        "gf_direct": ast.parse(
+            "from .automata import build_automaton as make\n\n"
+            "def nfa_to_gfm_gf(nfa):\n    return make(nfa.alphabet, 1, 0, 'buchi', [])\n"
+        ),
+        "hoa": ast.parse(
+            "from . import automata\n\n"
+            "def from_hoa(text):\n"
+            "    return automata.build_automaton(al, 1, 0, 'buchi', edges)\n"
+        ),
     }
-    assert unchecked_callers(trees) == UNCHECKED_CALLERS
+    assert callers(trees, "build_automaton") == {"gf_direct.nfa_to_gfm_gf", "hoa.from_hoa"}
+
+
+def test_no_module_builds_from_edge_lists():
+    """Constructions build their `transitions` rows directly, one cell per
+    letter class of their input; `build_automaton` (a set per cell, then a
+    sort) is only the public helper for callers that hold an edge list."""
+    assert callers(_package_trees(), "build_automaton") == set()
 
 
 def _members(obj, part: str) -> list:
