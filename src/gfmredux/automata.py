@@ -221,9 +221,6 @@ class Automaton:
     def succ(self, q: int, letter: int) -> tuple[int, ...]:
         return self.transitions[q][letter]
 
-    def is_marked(self, q: int, letter: int, s: int) -> bool:
-        return (q, letter, s) in self.marked
-
     @cached_property
     def _tables(self) -> _LetterTables:
         """Integer tables over the letter classes, read from `transitions`

@@ -473,6 +473,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:  # formulas and labels are read and folded recursively
+        print("error: input nested too deeply", file=sys.stderr)
+        return 1
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -2,8 +2,12 @@
 
 Formulas are immutable trees.  Atoms are indices into a shared AtomSet so
 that letters of an alphabet can be plain bitmasks; printing recovers names.
-Each formula computes its hash and its printed form (the sort key of `fold`)
-once, on first use, and keeps them; neither takes part in `==` or pickling.
+One operator table, `_OPERATORS`, gives every operator's symbol, binding
+power and associativity; the printer and the precedence-climbing reader
+both read it, and the operator letters it names are the ones bare atom
+names may not contain.  Each formula computes its hash and its printed form
+(the sort key of `fold`) once, on first use, and keeps them; neither takes
+part in `==` or pickling.
 """
 
 from __future__ import annotations
@@ -14,8 +18,31 @@ from functools import lru_cache
 
 MAX_ATOMS = 16
 
+# The operator table that the printer and the reader share: symbol, formula
+# kind, binding power (higher binds tighter) and associativity.  A "flat"
+# operator chains into one n-ary node, a "right" one nests to the right and
+# a "prefix" one takes one operand.  '->' is only read, as !a | b; 'R', the
+# dual of U in negation normal forms, is only printed, so it is not a token
+# and does not force quoting.
+_OPERATORS = (
+    ("->", "implies", 0, "right"),
+    ("|", "or", 1, "flat"),
+    ("&", "and", 2, "flat"),
+    ("U", "until", 3, "right"),
+    ("R", "release", 3, "right"),
+    ("!", "not", 4, "prefix"),
+    ("X", "next", 4, "prefix"),
+    ("F", "finally", 4, "prefix"),
+    ("G", "globally", 4, "prefix"),
+)
+_TIGHTEST = 4  # atoms and constants bind like the prefix operators
+_READ = {op[0]: op for op in _OPERATORS if op[1] != "release"}
+_OF_KIND = {op[1]: op for op in _OPERATORS}
+_OPERATOR_LETTERS = "".join(sym for sym in _READ if sym.isalpha())
+_SYMBOLS = {sym[0]: sym for sym in (*_READ, "(", ")")}  # by first character
 _BARE_NAME = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
-_OPERATOR_LETTERS = frozenset("XFGU")
+# the rest of a bare name: isalnum() or '_' characters, no operator letter
+_WORD = re.compile(f"[^\\W{_OPERATOR_LETTERS}]*")
 
 
 class LtlError(ValueError):
@@ -170,21 +197,10 @@ def atom_set(f: LtlFormula) -> AtomSet | None:
 
 # ---------------------------------------------------------------- printing
 
-_PREC = {"or": 1, "and": 2, "until": 3}
-
-
-def _prec(f: LtlFormula) -> int:
-    return _PREC.get(f.kind, 4)
-
-
 def _atom_str(name: str) -> str:
-    if (
-        _BARE_NAME.fullmatch(name)
-        and not _OPERATOR_LETTERS.intersection(name)
-        and name not in ("tt", "ff")
-    ):
-        return name
-    return f'"{name}"'
+    """name, quoted unless the reader reads it back bare as this atom."""
+    bare = _BARE_NAME.fullmatch(name) and _WORD.fullmatch(name)
+    return name if bare and name not in ("tt", "ff") else f'"{name}"'
 
 
 def to_string(f: LtlFormula) -> str:
@@ -195,58 +211,41 @@ def to_string(f: LtlFormula) -> str:
     return s
 
 
-def _pstr(f: LtlFormula, need: int) -> str:
-    """f printed, in parentheses if it binds looser than `need`."""
-    s = to_string(f)
-    return "(" + s + ")" if _prec(f) < need else s
-
-
 def _print(f: LtlFormula) -> str:
     k = f.kind
-    if k == "tt":
-        s = "tt"
-    elif k == "ff":
-        s = "ff"
-    elif k == "atom":
-        s = _atom_str(f.name)
-    elif k == "not":
-        s = "!" + _pstr(f.children[0], 4)
-    elif k in ("next", "finally", "globally"):
-        s = {"next": "X", "finally": "F", "globally": "G"}[k] + _pstr(f.children[0], 4)
-    elif k == "until":
-        s = _pstr(f.children[0], 4) + " U " + _pstr(f.children[1], 3)
-    elif k == "release":
-        s = _pstr(f.children[0], 4) + " R " + _pstr(f.children[1], 3)
-    elif k == "and":
-        s = " & ".join(_pstr(c, 3) for c in f.children)
-    elif k == "or":
-        s = " | ".join(_pstr(c, 2) for c in f.children)
-    else:  # pragma: no cover
-        raise LtlError(f"unknown kind {k!r}")
-    return s
+    if k in ("tt", "ff"):
+        return k
+    if k == "atom":
+        return _atom_str(f.name)
+    sym, _, bp, assoc = _OF_KIND[k]
+    parts = []
+    for i, c in enumerate(f.children):
+        # an operand that binds looser than its operator is bracketed; the
+        # operand of a prefix operator and the right one of a right-associative
+        # operator may bind as tightly as the operator itself
+        need = bp if assoc == "prefix" or (assoc == "right" and i) else bp + 1
+        s = to_string(c)
+        binds = _OF_KIND[c.kind][2] if c.kind in _OF_KIND else _TIGHTEST
+        parts.append(s if binds >= need else "(" + s + ")")
+    return sym + parts[0] if assoc == "prefix" else f" {sym} ".join(parts)
 
 
 # ----------------------------------------------------------------- parsing
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(type, value, position) triples: operators and parentheses have their
+    symbol as type, the other types are "atom", "const" and "end"."""
     out = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
         if c.isspace():
             i += 1
-        elif c in "()!&|":
-            out.append(({"(": "lparen", ")": "rparen", "!": "not",
-                         "&": "and", "|": "or"}[c], c, i))
-            i += 1
-        elif c == "-":
-            if text[i : i + 2] != "->":
-                raise LtlParseError("expected '->'", i)
-            out.append(("implies", "->", i))
-            i += 2
-        elif c in _OPERATOR_LETTERS:
-            out.append((c, c, i))
-            i += 1
+        elif (sym := _SYMBOLS.get(c)) is not None:
+            if not text.startswith(sym, i):
+                raise LtlParseError(f"expected {sym!r}", i)
+            out.append((sym, sym, i))
+            i += len(sym)
         elif c == '"':
             j = text.find('"', i + 1)
             if j < 0:
@@ -259,15 +258,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             out.append(("const", c, i))
             i += 1
         elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_") \
-                    and text[j] not in _OPERATOR_LETTERS:
-                j += 1
+            j = _WORD.match(text, i).end()
             word = text[i:j]
-            if word in ("tt", "ff"):
-                out.append(("const", word, i))
-            else:
-                out.append(("atom", word, i))
+            out.append(("const" if word in ("tt", "ff") else "atom", word, i))
             i = j
         else:
             raise LtlParseError(f"unexpected character {c!r}", i)
@@ -275,101 +268,60 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
-class _Parser:
-    def __init__(self, tokens, atoms: AtomSet):
-        self.toks = tokens
-        self.pos = 0
-        self.atoms = atoms
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def take(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, typ: str):
-        t = self.take()
-        if t[0] != typ:
-            raise LtlParseError(f"expected {typ}, got {t[1]!r}", t[2])
-        return t
-
-    def parse(self) -> LtlFormula:
-        f = self.implies()
-        t = self.peek()
-        if t[0] != "end":
-            raise LtlParseError(f"unexpected {t[1]!r}", t[2])
-        return f
-
-    def implies(self) -> LtlFormula:
-        lhs = self.disj()
-        if self.peek()[0] == "implies":
-            self.take()
-            rhs = self.implies()
-            return lor(lnot(lhs), rhs)
-        return lhs
-
-    def disj(self) -> LtlFormula:
-        parts = [self.conj()]
-        while self.peek()[0] == "or":
-            self.take()
-            parts.append(self.conj())
-        return lor(*parts) if len(parts) > 1 else parts[0]
-
-    def conj(self) -> LtlFormula:
-        parts = [self.until_()]
-        while self.peek()[0] == "and":
-            self.take()
-            parts.append(self.until_())
-        return land(*parts) if len(parts) > 1 else parts[0]
-
-    def until_(self) -> LtlFormula:
-        lhs = self.unary()
-        if self.peek()[0] == "U":
-            self.take()
-            return until(lhs, self.until_())
-        return lhs
-
-    def unary(self) -> LtlFormula:
-        t = self.take()
-        typ = t[0]
-        if typ == "not":
-            return lnot(self.unary())
-        if typ == "X":
-            return nxt(self.unary())
-        if typ == "F":
-            return ev(self.unary())
-        if typ == "G":
-            return always(self.unary())
-        if typ == "lparen":
-            f = self.implies()
-            self.expect("rparen")
-            return f
-        if typ == "const":
-            return TT if t[1] in ("tt", "1") else FF
-        if typ == "atom":
-            return atom(self.atoms, t[1])
-        raise LtlParseError(f"unexpected {t[1]!r}", t[2])
-
-
 def parse(text: str, atoms: AtomSet | None = None) -> LtlFormula:
     """Parse an LTL formula.
 
     Grammar: atoms (bare names may not contain X/F/G/U; quote with "...")
     and constants tt/ff/1/0, operators ! & | -> X F G U, with unary tightest,
-    then U (right-assoc), & , |, -> (right-assoc).  '->' is rewritten to
-    !a | b during parsing.  Without an explicit AtomSet, atoms are numbered
-    in order of first appearance.
+    then U (right-assoc), & , |, -> (right-assoc), as `_OPERATORS` lists
+    them.  '->' is rewritten to !a | b during parsing.  Without an explicit
+    AtomSet, atoms are numbered in order of first appearance.
     """
-    tokens = _tokenize(text)
+    toks = _tokenize(text)
     if atoms is None:
-        seen: dict[str, None] = {}
-        for typ, val, _ in tokens:
-            if typ == "atom":
-                seen[val] = None
-        atoms = AtomSet(tuple(seen))
-    return _Parser(tokens, atoms).parse()
+        atoms = AtomSet(tuple(dict.fromkeys(v for typ, v, _ in toks if typ == "atom")))
+    pos = 0
+
+    def expr(min_bp: int) -> LtlFormula:
+        """One operand, then every infix operator binding at least min_bp
+        (precedence climbing)."""
+        nonlocal pos
+        typ, val, at = toks[pos]
+        pos += 1
+        op = _READ.get(typ)
+        if op is not None and op[3] == "prefix":
+            lhs = LtlFormula(op[1], (expr(op[2]),))
+        elif typ == "(":
+            lhs = expr(0)
+            typ, val, at = toks[pos]
+            if typ != ")":
+                raise LtlParseError(f"expected rparen, got {val!r}", at)
+            pos += 1
+        elif typ == "const":
+            lhs = TT if val in ("tt", "1") else FF
+        elif typ == "atom":
+            lhs = atom(atoms, val)
+        else:
+            raise LtlParseError(f"unexpected {val!r}", at)
+        while True:
+            op = _READ.get(toks[pos][0])
+            if op is None or op[3] == "prefix" or op[2] < min_bp:
+                return lhs
+            pos += 1
+            _, kind, bp, assoc = op
+            rhs = expr(bp if assoc == "right" else bp + 1)
+            if kind == "implies":
+                lhs = lor(lnot(lhs), rhs)
+            elif assoc == "flat":
+                lhs = _nary(kind, (lhs, rhs))
+            else:
+                lhs = LtlFormula(kind, (lhs, rhs))
+
+    f = expr(0)
+    typ, val, at = toks[pos]
+    if typ != "end":
+        raise LtlParseError(f"unexpected {val!r}", at)
+    return f
 
 
 # ------------------------------------------------------------ normal forms
@@ -436,10 +388,10 @@ def fold(f: LtlFormula) -> LtlFormula:
                 kids[to_string(fc)] = fc
         if not kids:
             return unit
-        ordered = [kids[s] for s in sorted(kids)]
+        ordered = tuple(kids[s] for s in sorted(kids))
         if len(ordered) == 1:
             return ordered[0]
-        return LtlFormula(k, tuple(ordered))
+        return f if ordered == f.children else LtlFormula(k, ordered)
     if k == "not":
         c = fold(f.children[0])
         if c == TT:
@@ -448,10 +400,11 @@ def fold(f: LtlFormula) -> LtlFormula:
             return TT
         if c.kind == "not":
             return c.children[0]
-        return lnot(c)
+        return f if c is f.children[0] else lnot(c)
     if k in ("tt", "ff", "atom"):
         return f
-    return LtlFormula(k, tuple(map(fold, f.children)))
+    kids = tuple(map(fold, f.children))
+    return f if kids == f.children else LtlFormula(k, kids)
 
 
 @lru_cache(maxsize=4096)  # bound: see fold

@@ -302,6 +302,31 @@ def test_bad_input_reports_error_without_traceback(
     assert proc.stdout == ""
 
 
+def test_tdr_300_prints_and_translates(capsys):
+    assert main(["gen-pattern", "tdr", "300"]) == 0
+    text = capsys.readouterr().out
+    assert text == "GF(a & " + "X" * 300 + "b)\n"
+    assert main(["ltl2gfm-gf", text]) == 0
+    assert "\nStates: 301\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ["ltl2gfm-gf-1500-x", "gen-pattern-tdr-3000",
+                                  "redux-label-3000-not"])
+def test_too_deep_input_is_one_error_line(case, tmp_path, capsys):
+    deep = tmp_path / "deep.hoa"
+    deep.write_text(
+        'HOA: v1\nStates: 1\nStart: 0\nAP: 1 "a"\nAcceptance: 1 Inf(0)\n--BODY--\n'
+        "State: 0\n[" + "!" * 3000 + "0] 0 {0}\n--END--\n", encoding="utf-8")
+    argv = {
+        "ltl2gfm-gf-1500-x": ["ltl2gfm-gf", "GF(a & " + "X" * 1500 + "b)"],
+        "gen-pattern-tdr-3000": ["gen-pattern", "tdr", "3000"],
+        "redux-label-3000-not": ["redux", "--in", str(deep)],
+    }[case]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: input nested too deeply\n")
+
+
 @pytest.mark.parametrize("flag", [("--max-len", "0"), ("--lassos", "-5")])
 def test_check_equiv_rejects_out_of_range_counts(flag, fixture_file):
     shrink = fixture_file("shrink3to2.hoa")

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import gfmredux
+from gfmredux import hoa
 from gfmredux.automata import Alphabet, LassoWord, build_automaton, lasso_member
 from gfmredux.gf_direct import gf_to_gfm
 from gfmredux.hoa import HoaError, from_hoa, to_hoa
@@ -294,3 +299,49 @@ def test_malformed_numbers_and_labels_raise_hoa_error(old, new):
     assert from_hoa(text).n_states == 1
     with pytest.raises(HoaError):
         from_hoa(text.replace(old, new, 1))
+
+
+def _two_state_text(states_header: str) -> str:
+    return (
+        f"HOA: v1\nStates: {states_header}\nStart: 0\nAP: 2 \"a\" \"b\"\n"
+        "Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n[0] 1 {0}\nState: 1\n[t] 0\n"
+        "--END--\n"
+    )
+
+
+def test_cell_budget_counts_states_times_letters(monkeypatch):
+    monkeypatch.setattr(hoa, "MAX_CELLS", 8)  # 2 states over 4 letters
+    assert from_hoa(_two_state_text("2")).n_states == 2
+    monkeypatch.setattr(hoa, "MAX_CELLS", 7)
+    with pytest.raises(HoaError) as err:
+        from_hoa(_two_state_text("2"))
+    assert str(err.value) == (
+        "States: 2 times 4 letters is over the limit of 7 (state, letter) cells")
+
+
+def test_negative_states_has_its_own_message():
+    with pytest.raises(HoaError) as err:
+        from_hoa(_two_state_text("-2"))
+    assert str(err.value) == "States: -2 is negative"
+
+
+def test_huge_states_header_is_refused_before_allocating():
+    # a child process with 1 GiB of address space: a reader that allocates
+    # for the header fails there at once instead of exhausting the machine
+    pytest.importorskip("resource")
+    script = (
+        "import resource\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))\n"
+        "from gfmredux.hoa import HoaError, from_hoa\n"
+        "try:\n"
+        f"    from_hoa({_two_state_text('100000000000')!r})\n"
+        "except HoaError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(gfmredux.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("States: 100000000000 times 4 letters is over the limit "
+                           "of 1048576 (state, letter) cells\n")

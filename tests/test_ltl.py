@@ -17,6 +17,7 @@ from gfmredux.ltl import (
     af_step,
     always,
     atom,
+    atom_set,
     atoms_named,
     ev,
     fold,
@@ -33,6 +34,7 @@ from gfmredux.ltl import (
     to_string,
     until,
 )
+from oracles import random_cosafety_text
 
 AB = atoms_named("a", "b")
 A = atom(AB, "a")
@@ -79,6 +81,8 @@ def test_operator_letters_never_in_bare_names():
     # lowercase x is an ordinary name character
     f = parse("max")
     assert f.kind == "atom" and f.name == "max"
+    # any letter starts a bare name, not only ASCII ones
+    assert [c.name for c in parse("\u00e9 & x").children] == ["\u00e9", "x"]
     with pytest.raises(LtlParseError):
         parse("maX")  # atom 'ma' followed by X with nothing to apply to
 
@@ -111,6 +115,26 @@ def test_parse_error_positions():
         parse("a b")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a & ", "unexpected '' (position 4)"),
+    ("a - b", "expected '->' (position 2)"),
+    ('a & "unterminated', "unterminated quoted atom (position 4)"),
+    ('""', "empty quoted atom (position 0)"),
+    ("a @ b", "unexpected character '@' (position 2)"),
+    ("(a | b", "expected rparen, got '' (position 6)"),
+    ("a b", "unexpected 'b' (position 2)"),
+    ("maX", "unexpected 'X' (position 2)"),
+    ("\u00b2", "unexpected character '\u00b2' (position 0)"),  # isdigit, not isalpha
+    ("G F -> a", "unexpected '->' (position 4)"),
+    ("!(a", "expected rparen, got '' (position 3)"),
+])
+def test_parse_errors_name_message_and_position(text, message):
+    with pytest.raises(LtlParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    assert err.value.pos == int(message.rsplit(" ", 1)[1][:-1])
+
+
 def test_to_string_round_trip():
     corpus = [
         "a & b | !c",
@@ -124,6 +148,13 @@ def test_to_string_round_trip():
     for text in corpus:
         f = parse(text)
         assert parse(to_string(f)) == f
+
+
+def test_random_gf_formulas_read_back_from_their_text():
+    rng = random.Random(18)
+    for _ in range(500):
+        f = parse(f"GF({random_cosafety_text(rng)})")
+        assert parse(to_string(f), atom_set(f)) == f
 
 
 def test_nnf_pushes_negations():
@@ -140,6 +171,29 @@ def test_nnf_until_dual_prints_as_release():
     # 'R' is a rendering, not an input token: it reads as an atom-ish name
     with pytest.raises(LtlParseError):
         parse("!a R !b", AB)
+
+
+def test_release_binds_like_until_when_printed():
+    assert to_string(nxt(release(A, B))) == "X(a R b)"
+    assert to_string(until(release(A, B), A)) == "(a R b) U a"
+    assert to_string(release(A, until(B, A))) == "a R b U a"
+    assert to_string(release(until(A, B), A)) == "(a U b) R a"
+    # fold keys conjuncts by their text: two conjuncts that printed alike
+    # were one, and the conjunction looked equivalent to one of them
+    both = land(ev(release(A, B)), release(ev(A), B))
+    assert to_string(both) == "F(a R b) & Fa R b"
+    assert fold(both) == both
+    assert not prop_equiv(both, release(ev(A), B))
+
+
+def test_fold_returns_an_unchanged_formula_itself():
+    # a copied X chain made every cache lookup of fold compare two equal
+    # chains level by level, which overflowed the stack near 250 levels
+    fold.cache_clear()  # an equal chain folded earlier would be returned
+    chain = _x_pow(B, 300)
+    for f in (chain, land(chain, A), lnot(A), until(A, chain)):
+        assert fold(f) is f
+    assert fold(lnot(lnot(A))) == A
 
 
 def test_is_cosafety():
