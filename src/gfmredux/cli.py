@@ -149,8 +149,10 @@ def _pick_exact(n_states: int) -> tuple[bool, str]:
     """Exact or float arithmetic, and why: "env" when GFMREDUX_EXACT
     decides, else "limit N" for the product size limit N."""
     env = os.environ.get("GFMREDUX_EXACT")
-    if env is not None and env != "":
-        return env != "0", "env"
+    if env:
+        if env not in ("0", "1"):
+            raise MdpError("GFMREDUX_EXACT must be 0 or 1")
+        return env == "1", "env"
     return n_states <= EXACT_DEFAULT_LIMIT, f"limit {EXACT_DEFAULT_LIMIT}"
 
 
@@ -201,6 +203,10 @@ _BENCH_COLUMNS = tuple(route.column for route in ROUTES.values())
 
 
 def _run_bench(cases, timeout: float):
+    """Run each case in its own worker process.  Returns (rows, times); a
+    row is (name, sizes, missing), where `missing` is the cell of a column
+    with no size: "timeout" if the case was cut off, "error" if its worker
+    ended without a result (it raised or was killed)."""
     rows = []
     all_times = {}
     ctx = multiprocessing.get_context()
@@ -209,26 +215,28 @@ def _run_bench(cases, timeout: float):
         proc = ctx.Process(target=_bench_case, args=(text, child))
         proc.start()
         child.close()
-        sizes = {}  # no sizes: the case was cut off
+        sizes, missing = {}, "timeout"
         if parent.poll(timeout):
             try:
                 sizes, all_times[name] = parent.recv()
             except EOFError:
-                pass
+                missing = "error"
         proc.join(timeout=1)
         if proc.is_alive():
             proc.terminate()
             proc.join()
+        elif proc.exitcode:
+            missing = "error"
         parent.close()
-        rows.append((name, sizes))
+        rows.append((name, sizes, missing))
     return rows, all_times
 
 
-def _bench_cell(size: int | None, best: int | None = None) -> str:
-    """One size of a bench table: `timeout` for a case cut off, bold (in
-    Markdown) when it is the row's minimum `best`."""
+def _bench_cell(size: int | None, missing: str, best: int | None = None) -> str:
+    """One size of a bench table: `missing` for a case without sizes, bold
+    (in Markdown) when it is the row's minimum `best`."""
     if size is None:
-        return "timeout"
+        return missing
     return f"**{size}**" if size == best else str(size)
 
 
@@ -236,8 +244,8 @@ def _bench_csv(rows) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")  # quotes a name with , or "
     writer.writerow(["name", *_BENCH_COLUMNS])
-    for name, sizes in rows:
-        writer.writerow([name] + [_bench_cell(sizes.get(c)) for c in _BENCH_COLUMNS])
+    for name, sizes, missing in rows:
+        writer.writerow([name] + [_bench_cell(sizes.get(c), missing) for c in _BENCH_COLUMNS])
     return out.getvalue()
 
 
@@ -245,9 +253,9 @@ def _bench_md(rows) -> str:
     header = "| name | " + " | ".join(c.replace("_", "-") for c in _BENCH_COLUMNS) + " |"
     sep = "|" + "---|" * (len(_BENCH_COLUMNS) + 1)
     out = [header, sep]
-    for name, sizes in rows:
+    for name, sizes, missing in rows:
         best = min(sizes.values(), default=None)
-        cells = [_bench_cell(sizes.get(c), best) for c in _BENCH_COLUMNS]
+        cells = [_bench_cell(sizes.get(c), missing, best) for c in _BENCH_COLUMNS]
         out.append("| " + " | ".join([name.replace("|", "\\|")] + cells) + " |")
     return "\n".join(out) + "\n"
 
@@ -308,8 +316,8 @@ def _cmd_bench(args) -> int:
         _write(args.md, _bench_md(rows))
     if args.times_out:
         _write_json(args.times_out, all_times)
-    for name, sizes in rows:
-        cells = ", ".join(f"{c}={_bench_cell(sizes.get(c))}" for c in _BENCH_COLUMNS)
+    for name, sizes, missing in rows:
+        cells = ", ".join(f"{c}={_bench_cell(sizes.get(c), missing)}" for c in _BENCH_COLUMNS)
         print(f"{name}: {cells}")
     return 0
 

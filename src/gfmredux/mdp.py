@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .automata import (
     Alphabet,
@@ -32,7 +33,7 @@ from .automata import (
     complete,
 )
 from .exact import chain_accept, chain_reach
-from .graph import component_of, numbering, strongly_connected_components
+from .graph import numbering, strongly_connected_components
 
 _VI_TOL = 1e-10
 _VI_CAP = 1_000_000
@@ -104,6 +105,20 @@ class Mdp:
 
     def dist(self, q: int, action: int) -> tuple[tuple[int, Fraction], ...]:
         return self.transitions[q][action]
+
+    @cached_property
+    def _graph(self) -> tuple[list, list]:
+        """Integer structure read from `transitions` once per MDP, for the
+        qualitative passes: succ[q][ai] lists the successors of action ai of
+        q, and pred[s] the (q, ai) pairs that can move to s, ordered by q,
+        then ai."""
+        succ = [[[s for s, _ in dist] for dist in row] for row in self.transitions]
+        pred = [[] for _ in succ]
+        for q, row in enumerate(succ):
+            for ai, targets in enumerate(row):
+                for s in targets:
+                    pred[s].append((q, ai))
+        return succ, pred
 
 
 # ------------------------------------------------------------------- JSON
@@ -210,7 +225,9 @@ def _product(m: Mdp, initial: int, moves) -> ProductMdp:
         for name, dist, hot in moves(s, q):
             idx = len(row_names)
             row_names.append(name)
-            row_dists.append(tuple(sorted((number(pair), pr) for pair, pr in dist)))
+            row = [(number(pair), pr) for pair, pr in dist]
+            row.sort()
+            row_dists.append(tuple(row))
             if hot:
                 marked.update((p, idx, number(pair)) for pair in hot)
         names.append(tuple(row_names))
@@ -240,13 +257,16 @@ def product_nba(m: Mdp, a: Automaton) -> ProductMdp:
     _check_same_atoms(m, a.alphabet.atoms, "product_nba")
     a = complete(a)
     arity = a.alphabet.index_arity
+    choices_at: dict[tuple[int, int], list] = {}  # per (label, aut state)
 
     def moves(s, q):
-        choices = []  # (aut successor, aut edge marked) per choice
-        for i in range(1, arity + 1):
-            letter = a.alphabet.letter(m.labels[s], i)
-            for t in a.succ(q, letter):
-                choices.append((t, (q, letter, t) in a.marked))
+        choices = choices_at.get((m.labels[s], q))
+        if choices is None:  # (aut successor, aut edge marked) per choice
+            choices = choices_at[m.labels[s], q] = []
+            for i in range(1, arity + 1):
+                letter = a.alphabet.letter(m.labels[s], i)
+                for t in a.succ(q, letter):
+                    choices.append((t, (q, letter, t) in a.marked))
         for ai, nm in enumerate(m.action_names[s]):
             for c, (t, hot) in enumerate(choices, start=1):
                 dist = [((s2, t), pr) for s2, pr in m.dist(s, ai)]
@@ -260,19 +280,29 @@ def product_pa(m: Mdp, pa: ProbAutomaton) -> ProductMdp:
     rank, the joint move multiplies MDP and automaton probabilities."""
     _check_same_atoms(m, pa.alphabet.atoms, "product_pa")
     arity = pa.alphabet.index_arity
+    ranks_at: dict[tuple[int, int], list] = {}  # per (label, aut state)
+    multiplied: dict[tuple[int, int], Fraction] = {}  # per pair of probability ids
 
     def moves(s, q):
-        for ai, nm in enumerate(m.action_names[s]):
+        ranks = ranks_at.get((m.labels[s], q))
+        if ranks is None:  # (aut successor, probability, marked) per rank
+            ranks = ranks_at[m.labels[s], q] = []
             for i in range(1, arity + 1):
                 letter = pa.alphabet.letter(m.labels[s], i)
-                joint: dict[tuple[int, int], Fraction] = {}
-                hot = set()
+                ranks.append([(t, pr, (q, letter, t) in pa.marked)
+                              for t, pr in pa.dist(q, letter)])
+        for ai, nm in enumerate(m.action_names[s]):
+            for i, row in enumerate(ranks, start=1):
+                joint, hot = [], []
                 for s2, pr_m in m.dist(s, ai):
-                    for t, pr_a in pa.dist(q, letter):
-                        joint[(s2, t)] = pr_m * pr_a
-                        if (q, letter, t) in pa.marked:
-                            hot.add((s2, t))
-                yield f"{nm}#{i}", joint.items(), hot
+                    for t, pr_a, mark in row:
+                        pr = multiplied.get((id(pr_m), id(pr_a)))
+                        if pr is None:
+                            pr = multiplied[id(pr_m), id(pr_a)] = pr_m * pr_a
+                        joint.append(((s2, t), pr))
+                        if mark:
+                            hot.append((s2, t))
+                yield f"{nm}#{i}", joint, hot
 
     return _product(m, pa.initial, moves)
 
@@ -297,65 +327,49 @@ def _end_components(states, actions) -> list[tuple[list, dict]]:
     `actions[q]` lists, for each action of q, the successors it can move
     to; an action stays only while all of them lie in the strongly
     connected component of q among the states left (de Alfaro's refinement,
-    Baier & Katoen section 10.6.3).  Returns one (states, {state: staying
-    action indices}) pair per component, in reverse topological order.
+    Baier & Katoen section 10.6.3).  The refinement runs one component at a
+    time: a component whose actions all stay is final, and only one that
+    lost an action is searched again, without the states left with none.
+    Returns one (states, {state: staying action indices}) pair per
+    component, ordered by least state.
     """
-    avail = {q: set(range(len(actions[q]))) for q in states}
-    alive = set(states)
+    avail = {q: range(len(actions[q])) for q in states}
+    found = []
+    work = [list(states)]
+    while work:
+        part = work.pop()
+        inside = set(part)
 
-    def succ(q):
-        out = set()
-        for ai in avail[q]:
-            out.update(s for s in actions[q][ai] if s in alive)
-        return sorted(out)
+        def succ(q):
+            return [s for ai in avail[q] for s in actions[q][ai] if s in inside]
 
-    while True:
-        comp_of = component_of(strongly_connected_components(sorted(alive), succ))
-        changed = False
-        for q in sorted(alive):
-            for ai in sorted(avail[q]):
-                if any(
-                    s not in alive or comp_of[s] != comp_of[q]
-                    for s in actions[q][ai]
-                ):
-                    avail[q].discard(ai)
-                    changed = True
-            if not avail[q] and q in alive:
-                alive.discard(q)
-                changed = True
-        if not changed:
-            break
-    return [
-        (comp, {q: sorted(avail[q]) for q in comp})
-        for comp in strongly_connected_components(sorted(alive), succ)
-    ]
+        for comp in strongly_connected_components(part, succ):
+            members = set(comp)
+            lost = False
+            for q in comp:
+                keep = [ai for ai in avail[q] if all(s in members for s in actions[q][ai])]
+                if len(keep) < len(avail[q]):
+                    avail[q] = keep
+                    lost = True
+            if not lost:
+                found.append((comp, {q: list(avail[q]) for q in comp}))
+            elif rest := [q for q in comp if avail[q]]:
+                work.append(rest)
+    found.sort(key=lambda c: min(c[0]))
+    return found
 
 
 def mec_decompose(
     m: Mdp, marked: frozenset[tuple[int, int, int]] = frozenset()
 ) -> tuple[Mec, ...]:
-    successors = {
-        q: [[s for s, _ in dist] for dist in m.transitions[q]] for q in m.states()
-    }
+    succ = m._graph[0]
     mecs = []
-    for comp, staying in _end_components(list(m.states()), successors):
+    for comp, staying in _end_components(m.states(), succ):
         states = frozenset(comp)
-        actions = frozenset(
-            (q, ai) for q in comp for ai in staying[q]
-        )
-        accepting = any(
-            (q, ai, s) in marked
-            for q, ai in actions
-            for s, _ in m.dist(q, ai)
-        )
-        closed = all(
-            s in states
-            for q in comp
-            for ai in range(m.n_actions(q))
-            for s, _ in m.dist(q, ai)
-        )
+        actions = frozenset((q, ai) for q in comp for ai in staying[q])
+        accepting = any((q, ai, s) in marked for q, ai in actions for s in succ[q][ai])
+        closed = all(s in states for q in comp for targets in succ[q] for s in targets)
         mecs.append(Mec(states, actions, accepting, closed))
-    mecs.sort(key=lambda mec: min(mec.states))
     return tuple(mecs)
 
 
@@ -389,20 +403,31 @@ def _float_model(m: Mdp, interior: list[int], sure: frozenset[int]):
 
     Row i lists the actions of interior[i] as (action index, probability
     into `sure`, [(interior position, probability)], stays) tuples; `stays`
-    says every successor is interior.  A self-loop of probability p is
-    removed by dividing the rest by 1 - p, in exact arithmetic before the
-    conversion: that keeps the least fixpoint of the maximum, since an
-    action repeated until it leaves q is worth (rest) / (1 - p).  Actions
-    left with no successor, such as a pure self-loop, are dropped: they are
-    worth 0.
+    says every successor is interior.  Each probability object becomes a
+    float once, looked up by its id (hashing a Fraction costs more than
+    converting it).  Exact arithmetic is kept only where the float could
+    differ: an action with more than one successor in `sure` sums those
+    probabilities exactly, and a self-loop of probability p is removed by
+    dividing the rest by 1 - p before the conversion.  That keeps the least
+    fixpoint of the maximum, since an action repeated until it leaves q is
+    worth (rest) / (1 - p).  Actions left with no successor, such as a pure
+    self-loop, are dropped: they are worth 0.
     """
     pos = {q: i for i, q in enumerate(interior)}
+    floats: dict[int, float] = {}
+
+    def as_float(p):
+        f = floats.get(id(p))
+        if f is None:
+            f = floats[id(p)] = float(p)
+        return f
+
     rows = []
     for q in interior:
         acts = []
         for ai, dist in enumerate(m.transitions[q]):
-            loop = const = Fraction(0)
-            inner = []
+            loop = 0
+            into, inner = [], []
             stays = True
             for s, p in dist:
                 if s == q:
@@ -412,16 +437,17 @@ def _float_model(m: Mdp, interior: list[int], sure: frozenset[int]):
                 else:
                     stays = False
                     if s in sure:
-                        const += p
-            if not const and not inner:
+                        into.append(p)
+            if not into and not inner:
                 continue
             if loop:
                 scale = 1 / (1 - loop)
-                const *= scale
-                inner = [(j, p * scale) for j, p in inner]
-            acts.append(
-                (ai, float(const), [(j, float(p)) for j, p in inner], stays)
-            )
+                const = float(sum(into) * scale)
+                inner = [(j, float(p * scale)) for j, p in inner]
+            else:
+                const = as_float(into[0]) if len(into) == 1 else float(sum(into))
+                inner = [(j, as_float(p)) for j, p in inner]
+            acts.append((ai, const, inner, stays))
         rows.append(acts)
     return rows
 
@@ -485,25 +511,22 @@ def _interval_iteration(rows, tol: float, cap: int):
     return [(l + h) / 2 for l, h in zip(lo, hi)], gap, sweeps
 
 
-def _attract(m: Mdp, targets, candidates: dict[int, list[int]]) -> dict[int, int]:
-    """Backward breadth-first search from `targets` over candidate actions.
+def _attract(pred, targets, allowed) -> dict[int, int]:
+    """Backward breadth-first search from `targets` over allowed actions.
 
-    `candidates` maps states to the action indices they may use.  A state
-    is reached through the candidate action whose successor the search
-    reached first (the lowest index among ties), and maps to that action,
-    so each reached state's action moves strictly closer to `targets` with
-    positive probability.  Linear in the candidates' transitions.
+    `pred` is an MDP's predecessor lists (`Mdp._graph`), read in their
+    order (by state, then action), and `allowed` maps states to the action
+    indices they may use.  A state is reached through the allowed action
+    whose successor the search reached first (the lowest index among ties),
+    and maps to that action, so each reached state's action moves strictly
+    closer to `targets` with positive probability.  Linear in the
+    transitions into the states reached.
     """
-    pred: dict[int, list[tuple[int, int]]] = {}
-    for q, acts in candidates.items():
-        for ai in acts:
-            for s, _ in m.dist(q, ai):
-                pred.setdefault(s, []).append((q, ai))
     choice: dict[int, int] = {}
     queue = sorted(targets)
     for s in queue:
-        for q, ai in pred.get(s, ()):
-            if q not in choice:
+        for q, ai in pred[s]:
+            if q not in choice and ai in allowed.get(q, ()):
                 choice[q] = ai
                 queue.append(q)
     return choice
@@ -516,23 +539,31 @@ def _prob1(m: Mdp, goal: frozenset[int]) -> tuple[frozenset[int], dict[int, int]
     closer to the goal.
 
     The first backward search (`_attract`), over every action, finds the
-    states that can reach the goal.  Each later one keeps only the actions
-    that cannot leave the states the previous search found, until a search
-    finds them all again.
+    states that can reach the goal.  Then the states that a search missed
+    are removed: every action into them is dropped through the predecessor
+    lists, and a state left with no action is removed in turn (de Alfaro,
+    PhD thesis, 1997).  The search runs again over the actions left, until
+    it finds every state left; its choices are the attractor.
     """
-    candidates = {q: range(m.n_actions(q)) for q in m.states() if q not in goal}
-    choice = _attract(m, goal, candidates)
-    reachers = universe = goal.union(choice)
-    while True:
-        candidates = {
-            q: [ai for ai in candidates[q]
-                if all(s in universe for s, _ in m.dist(q, ai))]
-            for q in choice
-        }
-        choice = _attract(m, goal, candidates)
-        if len(choice) == len(candidates):
-            return reachers, choice
-        universe = goal.union(choice)
+    pred = m._graph[1]
+    allowed = {
+        q: set(range(len(row))) for q, row in enumerate(m.transitions) if q not in goal
+    }
+    choice = _attract(pred, goal, allowed)
+    reachers = goal.union(choice)
+    while gone := [q for q in allowed if q not in choice]:
+        for q in gone:
+            del allowed[q]
+        for s in gone:  # grows while it is read
+            for q, ai in pred[s]:
+                acts = allowed.get(q)
+                if acts and ai in acts:
+                    acts.discard(ai)
+                    if not acts:
+                        del allowed[q]
+                        gone.append(q)
+        choice = _attract(pred, goal, allowed)
+    return reachers, choice
 
 
 def _seed_policy(m, interior, sure, rows, mid) -> dict[int, int]:
@@ -546,7 +577,7 @@ def _seed_policy(m, interior, sure, rows, mid) -> dict[int, int]:
         ]
         best = max(scores)[0]
         candidates[q] = sorted(ai for v, ai in scores if v >= best - _ARGMAX_TOL)
-    choice = _attract(m, sure, candidates)
+    choice = _attract(m._graph[1], sure, candidates)
     return {q: choice.get(q, candidates[q][0]) for q in interior}
 
 
@@ -679,7 +710,8 @@ def synthesize(prod: ProductMdp, exact: bool = True) -> SynthesisResult:
     )
     vv = max_reach(m, goal, exact=exact)
     picks = extract_reach_strategy(m, goal, vv)
-    dists = [((picks[q], Fraction(1)),) for q in m.states()]
+    one = Fraction(1)
+    dists = [((picks[q], one),) for q in m.states()]
     for mec in mecs:
         if not mec.accepting:
             continue

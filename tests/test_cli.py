@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import gfmredux
-from gfmredux import ROUTES, gf_to_gfm, mdp, parse, product_nba, synthesize
+from gfmredux import ROUTES, cli, gf_to_gfm, mdp, parse, product_nba, synthesize
 from gfmredux.cli import EXACT_DEFAULT_LIMIT, main, main_gen_pattern, main_ltl2gfm_gf
 from gfmredux.hoa import from_hoa
 from gfmredux.redux import pa_from_json
@@ -204,6 +204,15 @@ def test_solve_env_forces_float(fixture_file, tmp_path, capsys, monkeypatch):
     assert abs(doc["value_float"] - 0.5) <= 1e-9
 
 
+def test_solve_empty_env_means_unset(fixture_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GFMREDUX_EXACT", "")
+    out = tmp_path / "res.json"
+    assert main(["solve", "--mdp", fixture_file("coinflip_mdp.json"),
+                 "--formula", "GF b", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("value = 1/2  [gf-direct, exact,")
+    assert json.loads(out.read_text())["exact_reason"] == f"limit {EXACT_DEFAULT_LIMIT}"
+
+
 def test_solve_float_cap_is_an_error(fixture_file, capsys, monkeypatch):
     monkeypatch.setenv("GFMREDUX_EXACT", "0")
     monkeypatch.setattr(mdp, "_VI_CAP", 0)
@@ -249,7 +258,7 @@ def test_check_equiv_alphabet_mismatch(fixture_file, capsys):
     "redux-bad-states", "check-equiv-bad-states", "solve-missing-mdp",
     "solve-action-without-name", "solve-fractional-initial", "bench-grid-without-cases",
     "bench-case-without-formula-or-family", "bench-formula-does-not-parse",
-    "bench-formula-not-gf",
+    "bench-formula-not-gf", "solve-exact-env-false",
 ])
 def test_bad_input_reports_error_without_traceback(
     case, fixture_text, fixture_file, tmp_path
@@ -288,9 +297,14 @@ def test_bad_input_reports_error_without_traceback(
         "bench-case-without-formula-or-family": ["bench", "--grid", str(no_source)],
         "bench-formula-does-not-parse": ["bench", "--grid", str(unparsed)],
         "bench-formula-not-gf": ["bench", "--grid", str(not_gf)],
+        "solve-exact-env-false": ["solve", "--mdp", fixture_file("coinflip_mdp.json"),
+                                  "--formula", "GF b"],
     }[case]
     src = os.path.dirname(os.path.dirname(gfmredux.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    env.pop("GFMREDUX_EXACT", None)
+    if case == "solve-exact-env-false":
+        env["GFMREDUX_EXACT"] = "false"
     proc = subprocess.run(
         [sys.executable, "-m", "gfmredux.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
@@ -298,6 +312,8 @@ def test_bad_input_reports_error_without_traceback(
     # exit code 2 for a formula that is not GF(co-safety), as in ltl2gfm-gf
     assert proc.returncode == (2 if case == "bench-formula-not-gf" else 1)
     assert proc.stderr.startswith("error:")
+    if case == "solve-exact-env-false":
+        assert proc.stderr == "error: GFMREDUX_EXACT must be 0 or 1\n"
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
@@ -391,6 +407,27 @@ def test_bench_timeout_cells(tmp_path, capsys):
         "name,gfm,reset_dba,redux_min\nlib[8],timeout,timeout,timeout\n"
     )
     assert md.read_text().splitlines()[2] == "| lib[8] | timeout | timeout | timeout |"
+
+
+def test_bench_error_cells(tmp_path, capsys, monkeypatch):
+    # a route that raises in the worker: the case ends without a result,
+    # which is an error, not a timeout, and bench still exits 0
+    fork = cli.multiprocessing.get_context("fork")
+    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda: fork)
+
+    def boom(f, atoms):
+        raise RuntimeError("route failed")
+
+    monkeypatch.setitem(ROUTES, "dba-oracle", ROUTES["dba-oracle"]._replace(build=boom))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cases": [{"family": "tdr", "params": [2]}],
+                                "timeout": 60}))
+    csv_path, md = tmp_path / "b.csv", tmp_path / "b.md"
+    assert main(["bench", "--grid", str(grid), "--csv", str(csv_path),
+                 "--md", str(md)]) == 0
+    assert capsys.readouterr().out == "tdr[2]: gfm=error, reset_dba=error, redux_min=error\n"
+    assert csv_path.read_text() == "name,gfm,reset_dba,redux_min\ntdr[2],error,error,error\n"
+    assert md.read_text().splitlines()[2] == "| tdr[2] | error | error | error |"
 
 
 def _md_cells(line: str) -> list[str]:

@@ -248,10 +248,10 @@ def test_strategy_json_shape(coin, fixture_text):
         assert total == 1
 
 
-def test_mec_decompose_against_enumeration():
-    for seed in range(25):
+def _check_mecs_against_enumeration(seeds, max_states):
+    for seed in seeds:
         rng = random.Random(seed)
-        m = gen_random_mdp(rng, max_states=5)
+        m = gen_random_mdp(rng, max_states=max_states)
         trips = [
             (q, ai, s)
             for q in m.states()
@@ -266,6 +266,42 @@ def test_mec_decompose_against_enumeration():
         assert got == brute_mecs(m, marked), seed
 
 
+def test_mec_decompose_against_enumeration():
+    _check_mecs_against_enumeration(range(25), max_states=5)
+
+
+def test_mec_decompose_against_enumeration_up_to_nine_states():
+    # larger models, where a component is more often searched again after
+    # it lost an action (12 of these 150 need a second search)
+    _check_mecs_against_enumeration(range(150), max_states=9)
+
+
+def test_mec_decompose_refines_a_split_part_again():
+    # all of 0-4 is one strongly connected component until 3 drops its action
+    # 1 (it can reach the sink 5); the rest splits into {0, 1, 2} and {3, 4},
+    # so 1 drops its action 1 (into 3), and {0, 1, 2} splits again into
+    # {0, 1} and {2}, where 2 keeps only its self-loop
+    one, half = Fraction(1), Fraction(1, 2)
+    m = _mdp(
+        ((((1, one),),),
+         (((0, one),), ((2, half), (3, half))),
+         (((0, one),), ((2, one),)),
+         (((4, one),), ((0, half), (5, half))),
+         (((3, one),),),
+         (((5, one),),)),
+        (0,) * 6,
+    )
+    marked = frozenset({(2, 1, 2)})
+    got = [(x.states, x.actions, x.accepting, x.closed) for x in mec_decompose(m, marked)]
+    assert got == brute_mecs(m, marked)
+    assert got == [
+        ({0, 1}, {(0, 0), (1, 0)}, False, False),
+        ({2}, {(2, 1)}, True, False),
+        ({3, 4}, {(3, 0), (4, 0)}, False, False),
+        ({5}, {(5, 0)}, False, True),
+    ]
+
+
 def test_max_reach_against_enumeration():
     for seed in range(25):
         rng = random.Random(seed)
@@ -278,6 +314,41 @@ def test_max_reach_against_enumeration():
         assert all(
             abs(float(w) - v) <= 1e-9 for w, v in zip(want, approx.values)
         ), seed
+
+
+def test_almost_sure_attractor_tie_rule():
+    # 2 reaches the goal 0 only with probability 1/2, so the second pass of
+    # the almost-sure search removes it and drops 3's action 0 into it.  3's
+    # actions 1 and 2 both reach the goal's layer; the lower index wins.  5's
+    # action 1 reaches the goal before its action 0 reaches 4, so it wins.
+    one, half = Fraction(1), Fraction(1, 2)
+    m = _mdp(
+        ((((0, one),),),
+         (((1, one),),),
+         (((0, half), (1, half)),),
+         (((2, one),), ((0, half), (4, half)), ((0, one),)),
+         (((1, one),), ((3, one),)),
+         (((4, one),), ((0, one),))),
+        (0,) * 6,
+    )
+    for exact in (True, False):
+        vv = max_reach(m, frozenset({0}), exact=exact)
+        assert vv.values == (1, 0, 0.5, 1, 1, 1)
+        assert vv.policy == {2: 0, 3: 1, 4: 1, 5: 1}
+    # 6's actions reach 3 and 5, both two steps from the goal once 5's action
+    # 0 (into 2) is dropped; predecessors are read in state order, so 3 is
+    # reached first and 6 takes action 0
+    m = _mdp(
+        ((((0, one),),),
+         (((1, one),),),
+         (((0, half), (1, half)),),
+         (((4, one),),),
+         (((0, one),),),
+         (((2, one),), ((4, one),)),
+         (((3, one),), ((5, one),))),
+        (0,) * 7,
+    )
+    assert max_reach(m, frozenset({0})).policy == {2: 0, 3: 0, 4: 0, 5: 1, 6: 0}
 
 
 WIN, TRAP = 0, 1
