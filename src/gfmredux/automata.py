@@ -23,7 +23,9 @@ from operator import add
 from typing import NamedTuple
 
 from .exact import chain_accept
-from .graph import closure, component_of, coreach, strongly_connected_components
+from .graph import (
+    closure, component_of, coreach, cycle_nodes, strongly_connected_components,
+)
 from .ltl import AtomSet
 
 KINDS = ("buchi", "cobuchi", "finite")
@@ -82,10 +84,15 @@ def _unchecked(cls, base=None, /, **values):
     Only for values whose invariants hold by construction from inputs that
     were checked: products of a checked MDP with a checked automaton, copies
     of a checked automaton that change its meta or its acceptance reading,
-    and the uniform weighting of a checked complete automaton.
+    and the uniform weighting of a checked complete automaton.  A copy that
+    keeps the base's `transitions` and `marked` keeps its `_tables` too.
     tests/test_source.py names the functions allowed to call it.
     """
     obj = object.__new__(cls)
+    if base is not None and "_tables" in vars(base) and not values.keys() & {
+        "transitions", "marked",
+    }:
+        obj.__dict__["_tables"] = base._tables  # the same moves and marks
     for f in fields(cls):
         if f.name in values:
             value = values.pop(f.name)
@@ -315,27 +322,25 @@ def complete(a: Automaton) -> Automaton:
 
 
 def prune_unreachable(a: Automaton) -> Automaton:
-    """Drop states unreachable from the initial state (BFS renumbering)."""
-    order = closure(
-        [a.initial], lambda q: [s for cell in a.transitions[q] for s in cell]
-    )
-    if len(order) == a.n_states and order == list(a.states()):
+    """Drop states unreachable from the initial state (BFS renumbering).
+    The search reads one cell per letter class, in the order of their first
+    letters, so it numbers the states as a search over all letters would."""
+    t = a._tables
+    order = closure([a.initial], lambda q: chain.from_iterable(t.succ[q]))
+    if order == list(a.states()):
         return a
     remap = {old: new for new, old in enumerate(order)}
-    trans = tuple(
-        tuple(
-            tuple(sorted(remap[s] for s in a.succ(old, letter)))
-            for letter in a.alphabet.letters()
-        )
-        for old in order
-    )
+    trans = []
+    for old in order:
+        cells = [tuple(sorted(remap[s] for s in succs)) for succs in t.succ[old]]
+        trans.append(tuple(map(cells.__getitem__, t.letter_class)))
     marked = frozenset(
         (remap[q], letter, remap[s])
         for (q, letter, s) in a.marked
         if q in remap and s in remap
     )
     finals = frozenset(remap[q] for q in a.final_states if q in remap)
-    return Automaton(a.alphabet, a.kind, 0, trans, marked, finals, a.meta)
+    return Automaton(a.alphabet, a.kind, 0, tuple(trans), marked, finals, a.meta)
 
 
 # ---------------------------------------------------------- lasso checking
@@ -389,6 +394,19 @@ def _require_dcw(a: Automaton, role: str):
         raise AutomatonError(f"{role} must be co-Buchi, got {a.kind}")
 
 
+def _joint_moves(a1: Automaton, a2: Automaton) -> list[tuple[int, int, int]]:
+    """(letter, class in a1, class in a2) for each pair of letter classes of
+    two co-Buchi automata over one alphabet, with the last of its letters as
+    representative."""
+    _require_dcw(a1, "left automaton")
+    _require_dcw(a2, "right automaton")
+    if a1.alphabet != a2.alphabet:
+        raise AutomatonError("alphabet mismatch")
+    pairs = zip(a1._tables.letter_class, a2._tables.letter_class)
+    joint = dict(zip(pairs, a1.alphabet.letters()))
+    return [(x, c1, c2) for (c1, c2), x in joint.items()]
+
+
 def dcw_counterexample(a1: Automaton, a2: Automaton) -> LassoWord | None:
     """A lasso in L(a1) \\ L(a2), or None if L(a1) is a subset of L(a2).
 
@@ -396,48 +414,86 @@ def dcw_counterexample(a1: Automaton, a2: Automaton) -> LassoWord | None:
     product reads one representative letter per class of letters that both
     automata treat alike, so the lasso is written in representative letters.
     """
-    _require_dcw(a1, "left automaton")
-    _require_dcw(a2, "right automaton")
-    if a1.alphabet != a2.alphabet:
-        raise AutomatonError("alphabet mismatch")
-    t1, t2 = a1._tables, a2._tables
-    if t2.det is None:
+    moves = _joint_moves(a1, a2)
+    if a2._tables.det is None:
         raise AutomatonError("right automaton must be deterministic and complete")
-    # each pair of classes, with the last of its letters as representative
-    joint = dict(zip(zip(t1.letter_class, t2.letter_class), a1.alphabet.letters()))
-    moves = [(x, c1, c2) for (c1, c2), x in joint.items()]
+    return _hot_cycle_lasso(*_pair_product(a1, a2, moves), 0)
 
-    # product pair (p, q) is the integer p * n2 + q
+
+def dcw_separating_lasso(a1: Automaton, a2: Automaton) -> LassoWord | None:
+    """A lasso in exactly one of L(a1) and L(a2), or None if they are equal.
+
+    Both automata must be deterministic and complete.  One reachable product
+    serves both inclusions: the lasso is the one `dcw_counterexample(a1, a2)`
+    returns, else the one `dcw_counterexample(a2, a1)` returns.
+    """
+    moves = _joint_moves(a1, a2)
+    if a1._tables.det is None or a2._tables.det is None:
+        raise AutomatonError("both automata must be deterministic and complete")
+    product = _pair_product(a1, a2, moves)
+    ce = _hot_cycle_lasso(*product, 0)
+    return ce if ce is not None else _hot_cycle_lasso(*product, 1)
+
+
+def _pair_product(a1: Automaton, a2: Automaton, moves):
+    """The pairs of states of a1 and of a2 (deterministic and complete) that
+    `moves` reach from the initial pair, as `_hot_cycle_lasso` reads them.
+    A pair (p, q) is the integer p * n2 + q; `parent` maps it to its
+    breadth-first (predecessor, letter), the start to None; `edges` maps it
+    to its moves (successor, letter, marks) but those marked in both
+    automata; bit 0 of marks says a move is marked in a1, bit 1 in a2; and
+    `marked_in[marks]` lists the moves (pair, letter, successor) marked in
+    one automaton only."""
+    t1, t2 = a1._tables, a2._tables
     n2 = a2.n_states
     start = a1.initial * n2 + a2.initial
     parent: dict = {start: None}
     order = [start]
-    safe_edges: dict = {}  # pair -> {successor: letter} over moves unmarked in a1
-    hot = []  # (pair, letter, successor): unmarked in a1, marked in a2
-    rows1: dict = {}  # a1 state -> [(letter, a2 class, successor * n2, unmarked)]
+    edges: dict = {}
+    marked_in: tuple = (None, [], [])
+    rows1: dict = {}  # a1 state -> [(letter, a2 class, successor * n2, marked)]
     for u in order:
         p, q = divmod(u, n2)
         row = rows1.get(p)
         if row is None:
             succ1, safe1 = t1.succ[p], t1.safe[p]
             row = rows1[p] = [
-                (x, c2, p2 * n2, p2 in safe1[c1])
+                (x, c2, p2 * n2, p2 not in safe1[c1])
                 for x, c1, c2 in moves
                 for p2 in succ1[c1]
             ]
         succ2, unsafe2 = t2.det[q], t2.unsafe[q]
-        out = safe_edges[u] = {}
-        for x, c2, base, unmarked in row:
+        out = edges[u] = []
+        for x, c2, base, marked1 in row:
             v = base + succ2[c2]
             if v not in parent:
                 parent[v] = (u, x)
                 order.append(v)
-            if unmarked:
-                out.setdefault(v, x)
-                if unsafe2 >> c2 & 1:
-                    hot.append((u, x, v))
+            marks = marked1 | (unsafe2 >> c2 & 1) << 1
+            if marks != 3:
+                out.append((v, x, marks))
+                if marks:
+                    marked_in[marks].append((u, x, v))
+    return order, parent, edges, marked_in
+
+
+def _hot_cycle_lasso(order, parent, edges, marked_in, side) -> LassoWord | None:
+    """A lasso of `_pair_product` in the language of its automaton `side`
+    (0 for a1, 1 for a2) and not in the other's: from the start to the first
+    hot move (u, letter, v) whose ends share a component of the safe moves,
+    then back from v to u inside that component; None if no hot move closes
+    such a cycle.  A move is safe if unmarked in automaton `side`, and hot
+    if it is safe and marked in the other."""
+    hot = marked_in[2 >> side]  # marked in the other automaton only
     if not hot:
         return None
+    unsafe = 1 << side  # marked in automaton `side` only
+    safe_edges: dict = {}  # pair -> {successor: first letter}
+    for u in order:
+        out = safe_edges[u] = {}
+        for v, x, m in edges[u]:
+            if m != unsafe and v not in out:
+                out[v] = x
     comp_of = component_of(strongly_connected_components(order, safe_edges.__getitem__))
     witness = next(((u, x, v) for u, x, v in hot if comp_of[u] == comp_of[v]), None)
     if witness is None:
@@ -473,63 +529,98 @@ def dcw_counterexample(a1: Automaton, a2: Automaton) -> LassoWord | None:
 
 # -------------------------------------------- language classes of a DCW
 
+def _congruence(a: Automaton) -> list[int]:
+    """Block ids of the coarsest right congruence of a deterministic
+    complete co-Buchi automaton that keeps states of empty, universal and
+    other languages apart (Moore's partition refinement over the letter
+    classes).  Equal languages share a block, since L(det(q, c)) is the
+    quotient of L(q) by any letter of c."""
+    t = a._tables
+    states = a.states()
+    succ = [set(row) for row in t.det].__getitem__
+    safe = [set(chain.from_iterable(row)) for row in t.safe].__getitem__
+    marked = [{s for c, s in enumerate(row) if t.unsafe[q] >> c & 1}
+              for q, row in enumerate(t.det)].__getitem__
+    # nonempty: reaches a cycle of unmarked moves
+    nonempty = coreach(states, succ, cycle_nodes(states, safe))
+    # not universal: reaches a cycle through a marked move
+    partial = coreach(states, succ, cycle_nodes(states, succ, marked))
+    block = [2 * (q in nonempty) + (q in partial) for q in states]
+    count = len(set(block))
+    while True:
+        ids: dict = {}
+        block = [
+            ids.setdefault((block[q], *map(block.__getitem__, row)), len(ids))
+            for q, row in enumerate(t.det)
+        ]
+        if len(ids) == count:
+            return block
+        count = len(ids)
+
+
 @lru_cache(maxsize=64)
 def _pair_relations(a: Automaton) -> tuple[tuple[int, ...], frozenset[int]]:
     """Language classes and safe non-containment of a deterministic complete
-    co-Buchi automaton, both read off one product of state pairs.
+    co-Buchi automaton, read off one product of the state pairs that share a
+    block of `_congruence`.
 
     The first result gives each state its class id (0-based, by lowest
     member state), as `lang_partition` returns it.  The second holds the
-    pairs (p, q), as the integers p * n + q, such that some finite word is
-    safe (crosses no mark) from p but not from q.
+    same-block pairs (p, q), as the integers p * n + q, such that some
+    finite word is safe (crosses no mark) from p but not from q; it says
+    nothing of pairs in different blocks.  Each move leads a same-block pair
+    to a same-block pair, so the product of those pairs alone answers both
+    exactly, and a partition into singletons builds no pair at all.
     """
     _require_dcw(a, "automaton")
     t = a._tables
     if t.det is None:
         raise AutomatonError("language classes need a deterministic complete automaton")
     n, det, unsafe = a.n_states, t.det, t.unsafe
+    block = _congruence(a)
+    if len(set(block)) == n:
+        return tuple(range(n)), frozenset()
+    blocks: dict = {}
+    for q, b in enumerate(block):
+        blocks.setdefault(b, []).append(q)
     classes = range(len(t.members))
 
     # pair (p, q) is the integer p * n + q; `safe` keeps the moves unmarked
     # from p, `hot` those of them that are marked from q, and `parted` the
     # pairs that have such a move
-    full, safe, hot, parted = [], [], [], []
-    for p in range(n):
-        sp = [s * n for s in det[p]]
-        free = [c for c in classes if not unsafe[p] >> c & 1]
-        for q, sq in enumerate(det):
-            full.append(set(map(add, sp, sq)))
-            safe.append({sp[c] + sq[c] for c in free})
-            if unsafe[q] & ~unsafe[p]:
+    full, safe, hot, parted = {}, {}, [], []
+    for members in blocks.values():
+        for p in members:
+            sp = [s * n for s in det[p]]
+            free = [c for c in classes if not unsafe[p] >> c & 1]
+            for q in members:
+                sq = det[q]
                 u = p * n + q
-                parted.append(u)
-                hot.extend((u, sp[c] + sq[c]) for c in free if unsafe[q] >> c & 1)
-    pairs = range(n * n)
-    comps = strongly_connected_components(pairs, safe.__getitem__)
+                full[u] = set(map(add, sp, sq))
+                safe[u] = {sp[c] + sq[c] for c in free}
+                if unsafe[q] & ~unsafe[p]:
+                    parted.append(u)
+                    hot.extend((u, sp[c] + sq[c]) for c in free if unsafe[q] >> c & 1)
+    comps = strongly_connected_components(safe, safe.__getitem__)
     comp_of = component_of(comps)
     # a witness node lies in a component that holds a hot move
     witness = {comp_of[u] for u, v in hot if comp_of[u] == comp_of[v]}
     witness_nodes = [u for cid in witness for u in comps[cid]]
 
     # L(p) not<= L(q) iff (p,q) reaches a witness node in the full product
-    bad = coreach(pairs, full.__getitem__, witness_nodes)
+    bad = coreach(full, full.__getitem__, witness_nodes)
 
+    # each state's lowest equivalent state, numbered in order of first use
     rep = list(range(n))
-    for p in range(n):
-        for q in range(p):
-            if p * n + q not in bad and q * n + p not in bad:
-                rep[p] = rep[q]
-                break
+    for members in blocks.values():
+        for i, p in enumerate(members):
+            rep[p] = next((rep[q] for q in members[:i]
+                           if p * n + q not in bad and q * n + p not in bad), p)
     ids: dict[int, int] = {}
-    out = []
-    for p in range(n):
-        r = rep[p]
-        if r not in ids:
-            ids[r] = len(ids)
-        out.append(ids[r])
+    out = tuple(ids.setdefault(r, len(ids)) for r in rep)
     # safe(p) not<= safe(q) iff (p,q) reaches a parted pair along moves safe
     # from p; until it does, those moves are safe from q as well
-    return tuple(out), frozenset(coreach(pairs, safe.__getitem__, parted))
+    return out, frozenset(coreach(safe, safe.__getitem__, parted))
 
 
 def lang_partition(a: Automaton) -> tuple[int, ...]:

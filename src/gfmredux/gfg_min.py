@@ -11,11 +11,15 @@ transition-rule argument; a rewrite that fails the check is simply skipped.
 The separating lasso of each failed check is kept, and a later rewrite whose
 run on a kept lasso disagrees with the original is skipped without a check.
 Everything stays deterministic, which keeps all checks polynomial.  Language
-classes and safe containment are read off one integer pair product per
-automaton (`automata._pair_relations`), and the equivalence checks are pair
-products too, all over letter classes, so an indexed alphabet costs one
-letter per class of letters that act alike, not one per index; so do the
-breakpoint determinisation and the two determinism predicates.
+classes and safe containment come from `automata._pair_relations`: a
+partition refinement first puts apart states whose languages must differ,
+and one integer pair product over the pairs left in each block decides the
+rest (no pair at all when every block is one state).  An equivalence check of
+two deterministic automata walks one pair product for both inclusions
+(`automata.dcw_separating_lasso`).  All of them read letter classes, so an
+indexed alphabet costs one letter per class of letters that act alike, not
+one per index; so do the breakpoint determinisation and the two determinism
+predicates.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ from .automata import (
     _pair_relations,
     _unchecked,
     dcw_counterexample,
+    dcw_separating_lasso,
     prune_unreachable,
 )
-from .graph import component_of, coreach, numbering, strongly_connected_components
+from .graph import closure, coreach, cycle_nodes, numbering
 
 
 class MinimizeError(AutomatonError):
@@ -53,12 +58,8 @@ def _require_dcw_complete(d: Automaton, who: str):
 def alive_states(d: Automaton) -> frozenset[int]:
     """States with an infinite unmarked run, i.e. that reach an unmarked
     cycle through unmarked edges."""
-    succ_u = [set(chain.from_iterable(row)) for row in d._tables.safe]
-    comp_of = component_of(strongly_connected_components(d.states(), succ_u.__getitem__))
-    on_cycle = [
-        q for q in d.states() if any(comp_of[s] == comp_of[q] for s in succ_u[q])
-    ]
-    return frozenset(coreach(d.states(), succ_u.__getitem__, on_cycle))
+    succ_u = [set(chain.from_iterable(row)) for row in d._tables.safe].__getitem__
+    return frozenset(coreach(d.states(), succ_u, cycle_nodes(d.states(), succ_u)))
 
 
 def normalize_safety(d: Automaton) -> Automaton:
@@ -81,9 +82,17 @@ def normalize_safety(d: Automaton) -> Automaton:
 
 
 def safe_contained(d: Automaton, p: int, q: int) -> bool:
-    """Is every finite word that is safe from p also safe from q?"""
+    """Is every finite word that is safe from p also safe from q?  A search
+    from (p, q) along the moves safe from p: it fails at a pair with a move
+    safe from its first state and marked from its second."""
     _require_dcw_complete(d, "safe_contained")
-    return p * d.n_states + q not in _pair_relations(d)[1]
+    det, unsafe = d._tables.det, d._tables.unsafe
+
+    def step(pair):
+        x, y = pair
+        return [(s, det[y][c]) for c, s in enumerate(det[x]) if not unsafe[x] >> c & 1]
+
+    return not any(unsafe[y] & ~unsafe[x] for x, y in closure([(p, q)], step))
 
 
 # ----------------------------------------------------------- determinisation
@@ -116,7 +125,10 @@ def nca_determinize(a: Automaton, max_states: int = 200_000) -> Automaton:
 
 def nca_lang_equiv(a1: Automaton, a2: Automaton) -> LassoWord | None:
     """None if two complete co-Buchi automata (nondeterminism allowed)
-    recognise the same language, else a separating lasso."""
+    recognise the same language, else a separating lasso.  Two
+    deterministic automata share one product for both inclusions."""
+    if a1._tables.det is not None and a2._tables.det is not None:
+        return dcw_separating_lasso(a1, a2)
     d2 = a2 if a2._tables.det is not None else nca_determinize(a2)
     ce = dcw_counterexample(a1, d2)
     if ce is not None:
@@ -209,11 +221,14 @@ def minimize(d: Automaton) -> Automaton:
             break
         part, noncont = _pair_relations(cur)
         n = cur.n_states
+        same_class: dict = {}
+        for q, c in enumerate(part):
+            same_class.setdefault(c, []).append(q)
         for q in cur.states():
             # same-class states whose safe language covers q's, equal first
             equal, strict = [], []
-            for p in cur.states():
-                if p == q or part[p] != part[q] or q * n + p in noncont:
+            for p in same_class[part[q]]:
+                if p == q or q * n + p in noncont:
                     continue
                 (equal if p * n + q not in noncont else strict).append(p)
             committed = False

@@ -68,6 +68,16 @@ def component_of(comps) -> dict:
     return {nd: ci for ci, comp in enumerate(comps) for nd in comp}
 
 
+def cycle_nodes(nodes, succ, through=None) -> list:
+    """Nodes u with an edge to some v in `through(u)` (default `succ(u)`)
+    that shares u's strongly connected component of `succ`: with `through`
+    a subset of `succ`, the nodes on a `succ` cycle that passes such an
+    edge."""
+    comp_of = component_of(strongly_connected_components(nodes, succ))
+    through = through or succ
+    return [u for u in nodes if any(comp_of[v] == comp_of[u] for v in through(u))]
+
+
 def numbering(start):
     """Breadth-first state ids from `start`, which gets id 0: returns
     (order, number), where `number(node)` gives the node's id and appends a

@@ -7,7 +7,8 @@ power and associativity; the printer and the precedence-climbing reader
 both read it, and the operator letters it names are the ones bare atom
 names may not contain.  Each formula computes its hash and its printed form
 (the sort key of `fold`) once, on first use, and keeps them; neither takes
-part in `==` or pickling.
+part in `==` or pickling.  Hashing and `==` walk a formula without a call
+per level, so a deep `X` chain does not reach the recursion limit.
 """
 
 from __future__ import annotations
@@ -104,9 +105,45 @@ class LtlFormula:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.kind, self.children, self.atom_set, self.atom_index))
-            object.__setattr__(self, "_hash", h)
+            # the unhashed subformulas, parents before children, are hashed
+            # in reverse: no call recurses per level of a deep formula
+            order, seen = [self], {id(self)}
+            for f in order:
+                for c in f.children:
+                    if c._hash is None and id(c) not in seen:
+                        seen.add(id(c))
+                        order.append(c)
+            for f in reversed(order):
+                h = hash((f.kind, f.children, f.atom_set, f.atom_index))
+                object.__setattr__(f, "_hash", h)
         return h
+
+    def __eq__(self, other) -> bool:
+        """Structural equality: identity, then the kinds and cached hashes,
+        then a walk over the pairs of subformulas that are not identical, on
+        an explicit stack, so that a deep formula does not recurse per
+        level."""
+        if self is other:
+            return True
+        if other.__class__ is not LtlFormula:
+            return NotImplemented
+        mine, theirs = self._hash, other._hash
+        if (self.kind != other.kind
+                or mine != theirs and mine is not None and theirs is not None):
+            return False
+        stack = [(self, other)]
+        while stack:
+            f, g = stack.pop()
+            if (f.kind, f.atom_index, f.atom_set) != (g.kind, g.atom_index, g.atom_set):
+                return False
+            fc, gc = f.children, g.children
+            if fc is not gc:  # leaves share the empty tuple
+                if len(fc) != len(gc):
+                    return False
+                for a, b in zip(fc, gc):
+                    if a is not b:
+                        stack.append((a, b))
+        return True
 
     def __reduce__(self):
         return LtlFormula, (self.kind, self.children, self.atom_set, self.atom_index)

@@ -70,7 +70,7 @@ def dba_to_dca(d: Automaton) -> Automaton:
     complement of the Buchi one for deterministic complete automata."""
     if d.kind != "buchi":
         raise AutomatonError("dba_to_dca needs a Buchi automaton")
-    if not (d.is_deterministic and d.is_complete):
+    if d._tables.det is None:
         raise AutomatonError("dba_to_dca needs a deterministic complete automaton")
     return _unchecked(Automaton, d, kind="cobuchi")
 
@@ -81,19 +81,20 @@ def nca_to_pa(a: Automaton) -> ProbAutomaton:
 
     `a` must be complete.  It was checked when built, and its k successors
     of a cell get weight 1/k each, so the PA is built without a second
-    check."""
-    if not a.is_complete:
+    check.  Each letter class gets one distribution, shared by its letters."""
+    t = a._tables
+    if not all(map(all, t.succ)):
         raise AutomatonError("nca_to_pa needs a complete automaton")
     weight: dict[int, Fraction] = {}  # one Fraction(1, k) per out-degree k
     rows = []
-    for cells in a.transitions:
+    for cells in t.succ:
         row = []
         for succs in cells:
             k = len(succs)
             if k not in weight:
                 weight[k] = Fraction(1, k)
             row.append(tuple((s, weight[k]) for s in succs))
-        rows.append(tuple(row))
+        rows.append(tuple(map(row.__getitem__, t.letter_class)))
     return _unchecked(
         ProbAutomaton,
         alphabet=a.alphabet,

@@ -10,9 +10,12 @@ from gfmredux.automata import (
     AutomatonError,
     LassoWord,
     ProbAutomaton,
+    _congruence,
+    _pair_relations,
     build_automaton,
     complete,
     dcw_counterexample,
+    dcw_separating_lasso,
     lang_partition,
     lasso_member,
     pa_lasso_prob,
@@ -22,7 +25,7 @@ from gfmredux.automata import (
 from gfmredux.gfg_min import nca_determinize
 from gfmredux.graph import closure, component_of, coreach, numbering
 from gfmredux.ltl import atoms_named
-from oracles import brute_lasso_member, brute_pa_lasso_prob
+from oracles import brute_lasso_member, brute_pa_lasso_prob, brute_safe_contained
 
 AL1 = Alphabet(atoms_named("a"), 1)   # letters: 0 = {}, 1 = {a}
 
@@ -270,10 +273,10 @@ def test_dcw_counterexample_validates_inputs():
         dcw_counterexample(buchi, fin)
 
 
-def _random_cobuchi(rng, alphabet, nondet):
-    """2-8 states; a nondeterministic one has up to two successors per
-    letter, and some states of it may lack a letter."""
-    n = rng.randint(2, 8)
+def _random_cobuchi(rng, alphabet, nondet, max_states=8):
+    """2 to max_states states; a nondeterministic one has up to two
+    successors per letter, and some states of it may lack a letter."""
+    n = rng.randint(2, max_states)
     edges = []
     for q in range(n):
         for x in alphabet.letters():
@@ -313,19 +316,32 @@ def test_dcw_counterexample_witnesses_are_real():
 
 
 def test_lang_partition_agrees_with_inclusion_checks():
-    rng = random.Random(8)
-    merged = 0
-    for _ in range(120):
-        d = _random_cobuchi(rng, rng.choice((AL1, Alphabet(atoms_named("a"), 2))), False)
-        part = lang_partition(d)
+    """lang_partition against two dcw_counterexample calls per state pair,
+    and the safe non-containment of `_pair_relations` against joint runs on
+    every same-class pair.  At most four states keep the joint runs few."""
+    rng = random.Random(20)
+    coarse = discrete = merged = 0
+    for _ in range(1000):
+        al = rng.choice((AL1, Alphabet(atoms_named("a"), 2)))
+        d = _random_cobuchi(rng, al, nondet=False, max_states=4)
+        part, noncont = lang_partition(d), _pair_relations(d)[1]
+        blocks = len(set(_congruence(d)))
+        discrete += blocks == d.n_states
+        coarse += blocks < len(set(part))
         at = [dataclasses.replace(d, initial=q) for q in d.states()]
+        n = d.n_states
+        bad = brute_safe_contained(d)
         for p in d.states():
             for q in range(p):
                 same = (dcw_counterexample(at[p], at[q]) is None
                         and dcw_counterexample(at[q], at[p]) is None)
                 assert (part[p] == part[q]) == same, (d, p, q)
                 merged += same
-    assert merged >= 50
+            for q in d.states():
+                if part[p] == part[q]:
+                    assert (p * n + q in noncont) == ((p, q) in bad), (d, p, q)
+    # coarse: the congruence holds states of different languages together
+    assert discrete >= 20 and coarse >= 300 and merged >= 300, (discrete, coarse, merged)
 
 
 def test_lang_partition_merges_equivalent_states():
@@ -342,6 +358,54 @@ def test_lang_partition_merges_equivalent_states():
     part = lang_partition(a)
     assert part[1] == part[2]
     assert len({part[0], part[1], part[3]}) == 3
+
+
+def test_one_block_congruence_leaves_the_product_to_decide():
+    # 0 accepts finitely many 1s, 1 finitely many 0s: neither is empty or
+    # universal, and every letter keeps each state where it is
+    d = two_letter(
+        "cobuchi", [(0, 0, 0), (0, 1, 0, True), (1, 0, 1, True), (1, 1, 1)], 2
+    )
+    assert len(set(_congruence(d))) == 1
+    part, noncont = _pair_relations(d)
+    assert part == (0, 1)
+    # 0 reads 0s safely and 1 reads 1s: neither safe language holds the other
+    assert brute_safe_contained(d) == {(0, 1), (1, 0)}
+    assert noncont == {0 * 2 + 1, 1 * 2 + 0}
+
+
+def test_discrete_congruence_builds_no_pair():
+    # 2 is empty; 0 and 1 are neither empty nor universal, and only 1 moves
+    # to 2 on letter 0, so one refinement round parts them
+    d = two_letter(
+        "cobuchi",
+        [(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 0), (2, 0, 2, True), (2, 1, 2, True)],
+        3,
+    )
+    assert len(set(_congruence(d))) == 3
+    assert _pair_relations(d) == ((0, 1, 2), frozenset())
+
+
+def test_separating_lasso_against_both_inclusions():
+    rng = random.Random(21)
+    alphabets = (AL1, Alphabet(atoms_named("a", "b"), 1), Alphabet(atoms_named("a"), 2))
+    equal = 0
+    for i in range(400):
+        al = rng.choice(alphabets)
+        a1 = _random_cobuchi(rng, al, nondet=False)
+        # every third pair: a determinisation of a1, which has its language
+        a2 = (nca_determinize(a1) if i % 3 == 0
+              else _random_cobuchi(rng, al, nondet=False))
+        ce12, ce21 = dcw_counterexample(a1, a2), dcw_counterexample(a2, a1)
+        w = dcw_separating_lasso(a1, a2)
+        assert w == (ce12 if ce12 is not None else ce21)
+        if w is None:
+            equal += 1
+        else:
+            assert brute_lasso_member(a1, w) != brute_lasso_member(a2, w), (a1, a2, w)
+    assert equal >= 20, equal
+    with pytest.raises(AutomatonError, match="deterministic and complete"):
+        dcw_separating_lasso(a1, _random_cobuchi(rng, al, nondet=True))
 
 
 def test_pa_validation():

@@ -200,20 +200,20 @@ def test_stored_lassos_refute_failed_merges(family, params, monkeypatch):
             stored.append(ce)
         return ce
 
-    products = []
-    real_ce = gfg_min.dcw_counterexample
+    products = []  # one per product construction, of either kind
+    for name in ("dcw_counterexample", "dcw_separating_lasso"):
+        def spy_product(a, b, real=getattr(gfg_min, name)):
+            products.append(a)
+            return real(a, b)
 
-    def spy_ce(a, b):
-        products.append(a)
-        return real_ce(a, b)
-
+        monkeypatch.setattr(gfg_min, name, spy_product)
     monkeypatch.setattr(gfg_min, "nca_lang_equiv", spy_equiv)
-    monkeypatch.setattr(gfg_min, "dcw_counterexample", spy_ce)
     m = minimize(d)
     assert m.n_states == d.n_states == 8
     assert stored
-    # checking every candidate in full took 50 product constructions
-    assert len(products) < 50
+    # one product per check; checking every TDR 3 candidate in full took 50
+    # products, and two per check (one per inclusion) 16 with kept lassos
+    assert len(products) == {"TDR": 11, "NCS": 14}[family]
 
 
 def _with_idle_atom(d):

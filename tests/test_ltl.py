@@ -230,6 +230,25 @@ def test_formula_hash_and_text_are_cached_but_not_fields():
     assert hash(copy) == h
 
 
+def _x_chain(depth, leaf):
+    f = leaf
+    for _ in range(depth):
+        f = nxt(f)
+    return f
+
+
+def test_deep_next_chains_compare_without_recursion():
+    # 1,000 levels: a per-level recursion would pass the interpreter's limit
+    f, g = _x_chain(1000, A), _x_chain(1000, atom(atoms_named("a", "b"), "a"))
+    assert f is not g and f == g and not f != g
+    assert hash(f) == hash(g)
+    assert f != _x_chain(1000, B) and f != _x_chain(999, A)
+    assert f != nxt(_x_chain(998, ev(A)))
+    assert f != "X" * 1000 + "a"
+    text = "G F (a & " + "X " * 300 + "b)"
+    assert parse(text) == parse(text)
+
+
 def test_fold_aci():
     assert fold(parse("b & a & b", AB)) == land(A, B)
     assert fold(parse("a | ff | a", AB)) == A
