@@ -188,14 +188,21 @@ def _cmd_solve(args) -> int:
 # ------------------------------------------------------------------- bench
 
 def _bench_case(text: str, conn):
-    sizes = {}
-    times = {}
+    """Build one case's automata, sending {column: (size, seconds)} as each
+    step ends: first the GFM automaton with its reduction, which starts from
+    it (so the redux_min time includes it), then the reset-subset DBA, whose
+    subset construction can blow up."""
+    direct, oracle, reduced = ROUTES["gf-direct"], ROUTES["dba-oracle"], ROUTES["redux-pa"]
     f = parse(text)
-    for route in ROUTES.values():
-        t0 = time.perf_counter()
-        sizes[route.column] = route.build(f, None).n_states
-        times[route.column] = time.perf_counter() - t0
-    conn.send((sizes, times))
+    t0 = time.perf_counter()
+    gfm = direct.build(f, None)
+    t1 = time.perf_counter()
+    pa = redux(gfm).pa
+    conn.send({direct.column: (gfm.n_states, t1 - t0),
+               reduced.column: (pa.n_states, time.perf_counter() - t0)})
+    t0 = time.perf_counter()
+    dba = oracle.build(f, None)
+    conn.send({oracle.column: (dba.n_states, time.perf_counter() - t0)})
     conn.close()
 
 
@@ -205,8 +212,9 @@ _BENCH_COLUMNS = tuple(route.column for route in ROUTES.values())
 def _run_bench(cases, timeout: float):
     """Run each case in its own worker process.  Returns (rows, times); a
     row is (name, sizes, missing), where `missing` is the cell of a column
-    with no size: "timeout" if the case was cut off, "error" if its worker
-    ended without a result (it raised or was killed)."""
+    with no size: "timeout" for the routes not built when the case was cut
+    off, "error" for all of them if its worker ended without every size (it
+    raised or was killed)."""
     rows = []
     all_times = {}
     ctx = multiprocessing.get_context()
@@ -215,19 +223,21 @@ def _run_bench(cases, timeout: float):
         proc = ctx.Process(target=_bench_case, args=(text, child))
         proc.start()
         child.close()
-        sizes, missing = {}, "timeout"
-        if parent.poll(timeout):
-            try:
-                sizes, all_times[name] = parent.recv()
-            except EOFError:
-                missing = "error"
-        proc.join(timeout=1)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join()
-        elif proc.exitcode:
-            missing = "error"
+        sizes, times, missing = {}, {}, "timeout"
+        deadline = time.monotonic() + timeout
+        try:
+            while len(sizes) < len(_BENCH_COLUMNS) \
+                    and parent.poll(max(deadline - time.monotonic(), 0)):
+                for column, (size, seconds) in parent.recv().items():
+                    sizes[column], times[column] = size, seconds
+        except EOFError:  # the worker ended early: it raised or was killed
+            sizes, times, missing = {}, {}, "error"
+        if len(sizes) < len(_BENCH_COLUMNS):
+            proc.terminate()  # cut off; nothing happens to an ended worker
+        proc.join()
         parent.close()
+        if times:
+            all_times[name] = times
         rows.append((name, sizes, missing))
     return rows, all_times
 

@@ -49,12 +49,18 @@ def cosafety_to_nfa(f: LtlFormula, atoms: AtomSet | None = None) -> Automaton:
     those atoms, and every letter with that valuation shares its successors.
     `atoms`, when given, must be f's own AtomSet (f may have no atoms).
     """
-    g = fold(to_nnf(f))
+    g = to_nnf(f)
     if not is_cosafety_nnf(g):
         raise LtlError("cosafety_to_nfa needs a co-safety formula")
+    return _nfa(g, atoms)
+
+
+def _nfa(body: LtlFormula, atoms: AtomSet | None) -> Automaton:
+    """cosafety_to_nfa of `body`, a co-safety formula already in NNF."""
+    g = fold(body)
     if atoms is None:
         atoms = atom_set(g) or AtomSet(())
-    elif (own := atom_set(f)) is not None and own != atoms:
+    elif (own := atom_set(body)) is not None and own != atoms:
         raise LtlError(f"formula atoms {own.names} differ from the alphabet's "
                        f"atoms {atoms.names}")
     alphabet = Alphabet(atoms, 1)
@@ -158,9 +164,9 @@ def reset_subset_dba(nfa: Automaton) -> Automaton:
 
 def gf_to_gfm(f: LtlFormula, atoms: AtomSet | None = None) -> Automaton:
     """Full pipeline: GF(co-safety) formula to its GFM Buchi automaton."""
-    return nfa_to_gfm_gf(cosafety_to_nfa(gf_body(f), atoms))
+    return nfa_to_gfm_gf(_nfa(gf_body(f), atoms))
 
 
 def gf_to_dba(f: LtlFormula, atoms: AtomSet | None = None) -> Automaton:
     """Deterministic-oracle pipeline for the same GF(co-safety) goal."""
-    return reset_subset_dba(cosafety_to_nfa(gf_body(f), atoms))
+    return reset_subset_dba(_nfa(gf_body(f), atoms))

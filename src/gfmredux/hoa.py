@@ -151,15 +151,21 @@ def to_hoa(a: Automaton, name: str | None = None) -> str:
     t = a._tables
     # each class's letters as AP valuations: atom mask, then index - 1 above it
     valuations = [[x // arity | x % arity << n_atoms for x in xs] for xs in t.members]
+    # the label of each set of classes met, covered by cubes once: many
+    # (successor, mark) groups of one automaton read the same letters
+    labels: dict[tuple[int, ...], str] = {}
     for q in a.states():
         lines.append(f"State: {q}")
         groups: dict[tuple[int, bool], list[int]] = {}
-        for succs, safe, letters in zip(t.succ[q], t.safe[q], valuations):
+        for c, (succs, safe) in enumerate(zip(t.succ[q], t.safe[q])):
             for s in succs:
-                groups.setdefault((s, s not in safe), []).extend(letters)
+                groups.setdefault((s, s not in safe), []).append(c)
         for (dst, marked) in sorted(groups):
-            cubes = _cubes(groups[(dst, marked)], nbits)
-            label = " | ".join(_cube_str(v, c, nbits) for v, c in cubes)
+            classes = tuple(groups[(dst, marked)])
+            label = labels.get(classes)
+            if label is None:
+                cubes = _cubes([x for c in classes for x in valuations[c]], nbits)
+                label = labels[classes] = " | ".join(_cube_str(v, c, nbits) for v, c in cubes)
             lines.append(f"[{label}] {dst}" + (" {0}" if marked else ""))
     lines.append("--END--")
     return "\n".join(lines) + "\n"

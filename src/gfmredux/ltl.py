@@ -8,7 +8,9 @@ both read it, and the operator letters it names are the ones bare atom
 names may not contain.  Each formula computes its hash and its printed form
 (the sort key of `fold`) once, on first use, and keeps them; neither takes
 part in `==` or pickling.  Hashing and `==` walk a formula without a call
-per level, so a deep `X` chain does not reach the recursion limit.
+per level, so a deep `X` chain does not reach the recursion limit.  The
+derivative `af_step` comes out folded: `_af` joins the folded derivatives of
+a formula's children by `fold`'s own rules, so no unfolded residual is built.
 """
 
 from __future__ import annotations
@@ -401,34 +403,17 @@ def is_cosafety_nnf(g: LtlFormula) -> bool:
 
 # ------------------------------------------------------------- fold / af
 
-# one translation folds a few hundred distinct formulas (605 for LIB 9) and
+# one translation folds a few dozen distinct formulas (55 for LIB 9: residuals
+# come out of _af folded, so fold sees only the body's subformulas) and
 # derives at most a few thousand (subformula, letter) pairs (2,370 for LIB 6;
-# LIB 9 derives 28,196 pairs but repeats none, so eviction costs it nothing);
+# LIB 9 derives 28,198 pairs but repeats none, so eviction costs it nothing);
 # the bounds keep a long-lived process from holding every formula it ever saw
 @lru_cache(maxsize=4096)
 def fold(f: LtlFormula) -> LtlFormula:
     """Canonical form: flatten and/or, drop units, absorb tt/ff, dedupe, sort."""
     k = f.kind
     if k in ("and", "or"):
-        absorb, unit = (FF, TT) if k == "and" else (TT, FF)
-        kids: dict[str, LtlFormula] = {}
-        for c in f.children:
-            fc = fold(c)
-            if fc == absorb:
-                return absorb
-            if fc == unit:
-                continue
-            if fc.kind == k:
-                for g in fc.children:
-                    kids[to_string(g)] = g
-            else:
-                kids[to_string(fc)] = fc
-        if not kids:
-            return unit
-        ordered = tuple(kids[s] for s in sorted(kids))
-        if len(ordered) == 1:
-            return ordered[0]
-        return f if ordered == f.children else LtlFormula(k, ordered)
+        return _join(k, map(fold, f.children), f)
     if k == "not":
         c = fold(f.children[0])
         if c == TT:
@@ -444,8 +429,32 @@ def fold(f: LtlFormula) -> LtlFormula:
     return f if kids == f.children else LtlFormula(k, kids)
 
 
+def _join(k: str, parts, given: LtlFormula | None = None) -> LtlFormula:
+    """The folded and/or node of kind k over folded `parts`, by fold's rules:
+    absorb tt/ff, drop units, flatten one level, dedupe and sort by printed
+    text.  `given`, a node of kind k, comes back itself if its children are
+    the result's."""
+    absorb, unit = (FF, TT) if k == "and" else (TT, FF)
+    kids: dict[str, LtlFormula] = {}
+    for p in parts:
+        pk = p.kind
+        if pk == absorb.kind:
+            return absorb
+        if pk == k:
+            for g in p.children:
+                kids[to_string(g)] = g
+        elif pk != unit.kind:
+            kids[to_string(p)] = p
+    if len(kids) <= 1:
+        return next(iter(kids.values()), unit)
+    ordered = tuple(kids[s] for s in sorted(kids))
+    return given if given is not None and ordered == given.children else LtlFormula(k, ordered)
+
+
 @lru_cache(maxsize=4096)  # bound: see fold
 def _af(f: LtlFormula, letter: int) -> LtlFormula:
+    """fold of the residual of f after `letter`, joined from the folded
+    residuals of f's children; X, F and U reuse their folded operands."""
     k = f.kind
     if k in ("tt", "ff"):
         return f
@@ -456,17 +465,15 @@ def _af(f: LtlFormula, letter: int) -> LtlFormula:
         if c.kind != "atom":
             raise LtlError("af needs negation normal form")
         return FF if letter >> c.atom_index & 1 else TT
-    if k == "and":
-        return land(*(_af(c, letter) for c in f.children))
-    if k == "or":
-        return lor(*(_af(c, letter) for c in f.children))
+    if k in ("and", "or"):  # every child is derived: one outside NNF raises
+        return _join(k, [_af(c, letter) for c in f.children])
     if k == "next":
-        return f.children[0]
+        return fold(f.children[0])
     if k == "finally":
-        return lor(_af(f.children[0], letter), f)
+        return _join("or", (_af(f.children[0], letter), fold(f)))
     if k == "until":
         lhs, rhs = f.children
-        return lor(_af(rhs, letter), land(_af(lhs, letter), f))
+        return _join("or", (_af(rhs, letter), _join("and", (_af(lhs, letter), fold(f)))))
     raise LtlError(f"af is defined for co-safety formulas only, got {k}")
 
 
@@ -475,7 +482,7 @@ def af_step(f: LtlFormula, letter: int) -> LtlFormula:
 
     `letter` is a bitmask over f's AtomSet.  f must be co-safety in NNF.
     """
-    return fold(_af(f, letter))
+    return _af(f, letter)
 
 
 def now_atoms(f: LtlFormula) -> int:

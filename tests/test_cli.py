@@ -409,6 +409,20 @@ def test_bench_timeout_cells(tmp_path, capsys):
     assert md.read_text().splitlines()[2] == "| lib[8] | timeout | timeout | timeout |"
 
 
+def test_bench_timeout_keeps_the_routes_that_finished(tmp_path, capsys):
+    # the reset-subset DBA of TDR 20 has 2**20 states and is cut off; the
+    # GFM automaton and its reduction take milliseconds and keep their cells
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cases": [{"family": "tdr", "params": [20]}],
+                                "timeout": 0.5}))
+    csv, times = tmp_path / "b.csv", tmp_path / "t.json"
+    assert main(["bench", "--grid", str(grid), "--csv", str(csv),
+                 "--times-out", str(times)]) == 0
+    assert capsys.readouterr().out == "tdr[20]: gfm=21, reset_dba=timeout, redux_min=22\n"
+    assert csv.read_text() == "name,gfm,reset_dba,redux_min\ntdr[20],21,timeout,22\n"
+    assert sorted(json.loads(times.read_text())["tdr[20]"]) == ["gfm", "redux_min"]
+
+
 def test_bench_error_cells(tmp_path, capsys, monkeypatch):
     # a route that raises in the worker: the case ends without a result,
     # which is an error, not a timeout, and bench still exits 0

@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+from gfmredux.automata import LassoWord
 from gfmredux.gf_direct import gf_to_gfm
 
 from gfmredux.ltl import (
@@ -12,6 +13,7 @@ from gfmredux.ltl import (
     TT,
     AtomSet,
     LtlError,
+    LtlFormula,
     LtlParseError,
     PropBdd,
     af_step,
@@ -34,7 +36,7 @@ from gfmredux.ltl import (
     to_string,
     until,
 )
-from oracles import random_cosafety_text
+from oracles import eval_lasso, random_cosafety_text
 
 AB = atoms_named("a", "b")
 A = atom(AB, "a")
@@ -359,6 +361,68 @@ def test_af_step_needs_cosafety_nnf():
         af_step(always(A), 0)
     with pytest.raises(LtlError):
         af_step(lnot(ev(A)), 0)
+
+
+def _ref_af(f, letter):
+    """The derivative of f after `letter`, left unfolded: af_step(f, letter)
+    must be its fold."""
+    k = f.kind
+    if k in ("tt", "ff"):
+        return f
+    if k in ("atom", "not"):
+        a = f if k == "atom" else f.children[0]
+        return TT if (letter >> a.atom_index & 1) == (k == "atom") else FF
+    if k in ("and", "or"):
+        return (land if k == "and" else lor)(*(_ref_af(c, letter) for c in f.children))
+    if k == "next":
+        return f.children[0]
+    if k == "finally":
+        return lor(_ref_af(f.children[0], letter), f)
+    assert k == "until"
+    lhs, rhs = f.children
+    return lor(_ref_af(rhs, letter), land(_ref_af(lhs, letter), f))
+
+
+def _unfolded(rng, f):
+    """A formula that folds to fold(f) but is not folded: every and/or node
+    gets a repeated child and a unit, its children are shuffled, and its
+    first two nest in a node of the same kind."""
+    kids = [_unfolded(rng, c) for c in f.children]
+    if f.kind not in ("and", "or"):
+        return LtlFormula(f.kind, tuple(kids), f.atom_set, f.atom_index)
+    kids += [rng.choice(kids), TT if f.kind == "and" else FF]
+    rng.shuffle(kids)
+    return LtlFormula(f.kind, (LtlFormula(f.kind, tuple(kids[:2])), *kids[2:]))
+
+
+def test_af_step_is_the_folded_derivative():
+    rng = random.Random(21)
+    for _ in range(60):
+        f = to_nnf(parse(random_cosafety_text(rng, max_depth=4)))
+        g = _unfolded(rng, f)
+        assert fold(g) == fold(f) and (g == f or g != fold(g))
+        # the given formulas and their residuals, nearest first
+        todo = list(dict.fromkeys([f, fold(f), g]))
+        seen = set(todo)
+        for h in todo:
+            for letter in range(8):
+                residual = af_step(h, letter)
+                assert residual == fold(_ref_af(h, letter)), (h, letter)
+                if len(todo) < 30 and residual not in seen:
+                    seen.add(residual)
+                    todo.append(residual)
+
+
+def test_af_step_reads_the_first_letter_of_a_lasso():
+    rng = random.Random(22)
+    for _ in range(120):
+        f = to_nnf(parse(random_cosafety_text(rng, max_depth=4)))
+        for g in (f, _unfolded(rng, f)):
+            prefix = tuple(rng.randrange(8) for _ in range(rng.randint(0, 3)))
+            w = LassoWord(prefix, tuple(rng.randrange(8) for _ in range(rng.randint(1, 3))))
+            letter = rng.randrange(8)
+            assert eval_lasso(g, LassoWord((letter, *prefix), w.cycle)) \
+                == eval_lasso(af_step(g, letter), w), (g, letter, w)
 
 
 def test_atom_cap():
