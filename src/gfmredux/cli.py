@@ -187,22 +187,25 @@ def _cmd_solve(args) -> int:
 
 # ------------------------------------------------------------------- bench
 
+# The routes a bench worker builds, in groups: it sends a group's sizes when
+# the group's last route is built.  The GFM automaton goes with its reduction;
+# every other route (the reset-subset DBA, whose subset construction can blow
+# up) is sent alone, in table order.
+_BENCH_GROUPS = (("gf-direct", "redux-pa"),) + tuple(
+    (key,) for key in ROUTES if key not in ("gf-direct", "redux-pa"))
+
+
 def _bench_case(text: str, conn):
-    """Build one case's automata, sending {column: (size, seconds)} as each
-    step ends: first the GFM automaton with its reduction, which starts from
-    it (so the redux_min time includes it), then the reset-subset DBA, whose
-    subset construction can blow up."""
-    direct, oracle, reduced = ROUTES["gf-direct"], ROUTES["dba-oracle"], ROUTES["redux-pa"]
+    """Build one case's automata through ROUTES, sending {column: (size,
+    seconds)} for each group of _BENCH_GROUPS as it ends."""
     f = parse(text)
-    t0 = time.perf_counter()
-    gfm = direct.build(f, None)
-    t1 = time.perf_counter()
-    pa = redux(gfm).pa
-    conn.send({direct.column: (gfm.n_states, t1 - t0),
-               reduced.column: (pa.n_states, time.perf_counter() - t0)})
-    t0 = time.perf_counter()
-    dba = oracle.build(f, None)
-    conn.send({oracle.column: (dba.n_states, time.perf_counter() - t0)})
+    for group in _BENCH_GROUPS:
+        built = {}
+        for key in group:
+            route = ROUTES[key]
+            t0 = time.perf_counter()
+            built[route.column] = (route.build(f, None).n_states, time.perf_counter() - t0)
+        conn.send(built)
     conn.close()
 
 

@@ -50,13 +50,13 @@ def cosafety_to_nfa(f: LtlFormula, atoms: AtomSet | None = None) -> Automaton:
     `atoms`, when given, must be f's own AtomSet (f may have no atoms).
     """
     g = to_nnf(f)
-    if not is_cosafety_nnf(g):
+    if not is_cosafety_nnf(fold(g)):  # folding can drop a G, as in tt | G a
         raise LtlError("cosafety_to_nfa needs a co-safety formula")
     return _nfa(g, atoms)
 
 
 def _nfa(body: LtlFormula, atoms: AtomSet | None) -> Automaton:
-    """cosafety_to_nfa of `body`, a co-safety formula already in NNF."""
+    """cosafety_to_nfa of `body`, a formula in NNF whose fold is co-safety."""
     g = fold(body)
     if atoms is None:
         atoms = atom_set(g) or AtomSet(())

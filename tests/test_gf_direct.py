@@ -52,6 +52,15 @@ def test_nfa_states_are_residual_classes():
     assert len(nfa.final_states) == 1
 
 
+def test_nfa_of_a_formula_co_safety_once_folded():
+    # tt | G a folds to tt: the one accepting state, over no atoms
+    nfa = cosafety_to_nfa(parse("tt | G a"))
+    assert (nfa.n_states, nfa.final_states, nfa.transitions) == (1, {0}, (((0,),),))
+    # a | (ff & G b) folds to a, and keeps the alphabet of a and b
+    nfa = cosafety_to_nfa(parse("a | (ff & G b)"))
+    assert nfa.n_states == 3 and nfa.alphabet.atoms.names == ("a", "b")
+
+
 def test_nfa_splits_top_level_disjunctions():
     # the two disjuncts drive separate branches instead of a joint residual
     nfa = cosafety_to_nfa(parse("(a & XXa) | (b & XXb)"))
