@@ -8,6 +8,12 @@ alphabets (arity k > 1) are encoded in ceil(log2 k) extra APs `_idx0`,
 `_idx1`, ... plus the custom header `x-index-arity:` so they round-trip
 exactly; other tools may ignore that header and read the automaton over the
 extended AP set.
+
+Both ways a label is a valuation set: an int with bit v set when the label
+holds under AP valuation v, and a letter is the valuation of its atom mask
+with its index - 1 in the APs above (`_valuations`).  The writer ORs the
+letters of each (successor, mark) group and covers that set by cubes; the
+reader ORs the labels of each (state, successor), marked and unmarked apart.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ class HoaError(ValueError):
 
 
 # the most (state, letter) cells a read automaton may have, whatever States:
-# claims.  The reader holds a dict per cell: a file at the limit (16 states,
-# 16 APs) peaks near 310 MB in 64-bit CPython 3.11; perfbench needs 2,304.
+# claims.  The automaton holds an entry per cell: reading a file at the limit
+# (16 states, 16 APs, one [t] edge each) peaks near 36 MB in 64-bit CPython
+# 3.11, or 161 MB when every edge is marked; perfbench needs 2,304.
 MAX_CELLS = 1 << 20
 
 
@@ -69,47 +76,27 @@ def _models(f, ap_sets, full: int) -> int:
     return full if k == "tt" else 0
 
 
-def _cubes(masks, nbits: int) -> list[tuple[int, int]]:
-    """Cover an exact set of minterms by (value, care-mask) cubes, merging
-    pairs that differ in one cared bit until no merge applies."""
-    full = (1 << nbits) - 1
-    cur = {(m, full) for m in masks}
-    while True:
-        merged = set()
-        used = set()
-        ordered = sorted(cur)
-        index = set(cur)
-        for cube in ordered:
-            if cube in used:
-                continue
-            v, c = cube
-            partner_found = False
-            for b in range(nbits):
-                bit = 1 << b
-                if not c & bit:
-                    continue
-                partner = (v ^ bit, c)
-                if partner in index and partner not in used and partner != cube:
-                    used.add(cube)
-                    used.add(partner)
-                    merged.add((v & ~bit, c & ~bit))
-                    partner_found = True
-                    break
-            if not partner_found and cube not in used:
-                merged.add(cube)
-        if merged == cur:
-            return sorted(cur)
-        cur = merged
+def _cover(vs: int, n: int) -> list[tuple[str, ...]]:
+    """Cubes over APs 0..n-1, each a tuple of literals, whose union is exactly
+    the valuation set `vs`.  Split on the top AP: the valuations both halves
+    share are covered once without it, the rest of each half with it."""
+    if vs == (1 << (1 << n)) - 1:
+        return [()]
+    if not vs:
+        return []
+    n -= 1
+    lo, hi = vs & ((1 << (1 << n)) - 1), vs >> (1 << n)
+    both = lo & hi
+    return (_cover(both, n)
+            + [cube + (f"!{n}",) for cube in _cover(lo ^ both, n)]
+            + [cube + (str(n),) for cube in _cover(hi ^ both, n)])
 
 
-def _cube_str(value: int, care: int, nbits: int) -> str:
-    if care == 0:
-        return "t"
-    terms = []
-    for b in range(nbits):
-        if care >> b & 1:
-            terms.append(str(b) if value >> b & 1 else f"!{b}")
-    return "&".join(terms)
+def _valuations(alphabet: Alphabet) -> list[int]:
+    """The AP valuation of each letter: its atom mask, then its index - 1 in
+    the APs above the atoms."""
+    arity, n_atoms = alphabet.index_arity, len(alphabet.atoms)
+    return [x // arity | x % arity << n_atoms for x in alphabet.letters()]
 
 
 # ----------------------------------------------------------------- export
@@ -149,23 +136,23 @@ def to_hoa(a: Automaton, name: str | None = None) -> str:
     lines.append("properties: trans-labels explicit-labels trans-acc")
     lines.append("--BODY--")
     t = a._tables
-    # each class's letters as AP valuations: atom mask, then index - 1 above it
-    valuations = [[x // arity | x % arity << n_atoms for x in xs] for xs in t.members]
-    # the label of each set of classes met, covered by cubes once: many
-    # (successor, mark) groups of one automaton read the same letters
-    labels: dict[tuple[int, ...], str] = {}
+    vals = _valuations(a.alphabet)
+    class_vs = [sum(1 << vals[x] for x in xs) for xs in t.members]
+    # the label of each valuation set met, covered once: many (successor,
+    # mark) groups of one automaton read the same letters
+    labels: dict[int, str] = {}
     for q in a.states():
         lines.append(f"State: {q}")
-        groups: dict[tuple[int, bool], list[int]] = {}
+        groups: dict[tuple[int, bool], int] = {}
         for c, (succs, safe) in enumerate(zip(t.succ[q], t.safe[q])):
             for s in succs:
-                groups.setdefault((s, s not in safe), []).append(c)
-        for (dst, marked) in sorted(groups):
-            classes = tuple(groups[(dst, marked)])
-            label = labels.get(classes)
+                key = (s, s not in safe)
+                groups[key] = groups.get(key, 0) | class_vs[c]
+        for (dst, marked), vs in sorted(groups.items()):
+            label = labels.get(vs)
             if label is None:
-                cubes = _cubes([x for c in classes for x in valuations[c]], nbits)
-                label = labels[classes] = " | ".join(_cube_str(v, c, nbits) for v, c in cubes)
+                label = labels[vs] = " | ".join(
+                    "&".join(cube) or "t" for cube in _cover(vs, nbits))
             lines.append(f"[{label}] {dst}" + (" {0}" if marked else ""))
     lines.append("--END--")
     return "\n".join(lines) + "\n"
@@ -279,17 +266,13 @@ def from_hoa(text: str) -> Automaton:
     ap_sets = [full // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k))
                for k in range(nbits)]
     first_bad = arity << n_atoms  # the valuations from here on exceed the arity
-    letter_of = [alphabet.letter(v & ((1 << n_atoms) - 1), (v >> n_atoms) + 1)
-                 for v in range(first_bad)]
 
-    # cells[q][letter] maps each successor to its mark.  A (src, letter, dst)
-    # listed twice collapses to one transition whose mark resolves
-    # angelically: Buchi runs prefer marked, co-Buchi runs unmarked
-    cells = [[{} for _ in alphabet.letters()] for _ in range(n_states)]
-    merge = operator.or_ if kind == "buchi" else operator.and_
+    # edges[q] maps each successor to the valuations read to it unmarked and
+    # those read to it marked
+    edges = [{} for _ in range(n_states)]
     state = None
-    # letters of each distinct label text, parsed and evaluated once
-    label_letters: dict[str, list[int]] = {}
+    # the valuation set of each distinct label text, parsed and evaluated once
+    label_models: dict[str, int] = {}
     for ln in lines[body_at + 1 :]:
         if ln == "--END--":
             break
@@ -320,8 +303,8 @@ def from_hoa(text: str) -> Automaton:
             if close < 0:
                 raise HoaError(f"bad transition line: {ln!r}")
             label_text = ln[1:close]
-            letters = label_letters.get(label_text)
-            if letters is None:
+            models = label_models.get(label_text)
+            if models is None:
                 label = _label_formula(label_text, aps)
             rest = ln[close + 1 :].split()
             if not rest or not rest[0].isdigit():
@@ -335,7 +318,7 @@ def from_hoa(text: str) -> Automaton:
                 if acc.replace(" ", "") != "{0}":
                     raise HoaError(f"unsupported acceptance sets: {acc!r}")
                 marked = True
-            if letters is None:
+            if models is None:
                 models = _models(label, ap_sets, full)
                 bad = models >> first_bad
                 if bad:  # name the lowest offending index
@@ -344,24 +327,33 @@ def from_hoa(text: str) -> Automaton:
                         f"transition label uses index {(v >> n_atoms) + 1} "
                         f"beyond x-index-arity {arity}"
                     )
-                letters = [letter_of[v] for v, bit in enumerate(bin(models)[:1:-1])
-                           if bit == "1"]
-                label_letters[label_text] = letters
-            row = cells[state]
-            for letter in letters:
-                cell = row[letter]
-                cell[dst] = merge(cell[dst], marked) if dst in cell else marked
+                label_models[label_text] = models
+            edges[state].setdefault(dst, [0, 0])[marked] |= models
         else:
             raise HoaError(f"unexpected body line: {ln!r}")
 
-    trans = tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells)
-    marked = frozenset(
-        (q, letter, dst)
-        for q, row in enumerate(cells)
-        for letter, cell in enumerate(row)
-        for dst, hot in cell.items() if hot
-    )
+    # A (state, letter, successor) listed twice is one transition whose mark
+    # resolves angelically: Buchi runs prefer marked, co-Buchi runs unmarked
+    vals = _valuations(alphabet)
+    width = f"0{first_bad}b"
+    trans, hot_reads = [], []
+    for q, succ in enumerate(edges):
+        dsts = sorted(succ)
+        reads = []  # per successor, "1" at position v when valuation v reads it
+        for dst in dsts:
+            plain, hot = succ[dst]
+            if kind == "cobuchi":
+                hot &= ~plain
+            reads.append(format(plain | hot, width)[::-1])
+            if hot:
+                hot_reads.append((q, dst, format(hot, width)[::-1]))
+        # each letter's cell, one tuple per distinct column of `reads`
+        codes = list(zip(*reads)) if dsts else [()] * first_bad
+        cell = {code: tuple(d for d, c in zip(dsts, code) if c == "1") for code in set(codes)}
+        trans.append(tuple(cell[codes[v]] for v in vals))
+    marked = frozenset((q, x, dst) for q, dst, hot_at in hot_reads
+                       for x, v in enumerate(vals) if hot_at[v] == "1")
     try:
-        return Automaton(alphabet, kind, start, trans, marked)
+        return Automaton(alphabet, kind, start, tuple(trans), marked)
     except AutomatonError as exc:
         raise HoaError(str(exc)) from exc

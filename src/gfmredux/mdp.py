@@ -207,29 +207,47 @@ def _check_same_atoms(m: Mdp, atoms: AtomSet, who: str):
         raise MdpError(f"{who}: MDP and automaton use different atoms")
 
 
-def _product(m: Mdp, initial: int, moves) -> ProductMdp:
+def _product(m: Mdp, initial: int, rows) -> ProductMdp:
     """Product over the pairs reachable from (m.initial, initial).
 
-    `moves(s, q)` yields one (action name, distribution, marked successors)
-    triple per product action of pair (s, q); a distribution lists
-    (successor pair, probability) items, each pair once.  The walk over
-    `graph.numbering`'s order numbers the pairs breadth-first: each pair's
-    successors in the order its distributions list them, then its marked
-    successors.
+    `rows(label, q)` gives the automaton's moves from q on the letters of an
+    MDP state labelled `label`: one row of (successor, probability, marked)
+    triples per product choice c.  Action "name#c" of pair (s, q) moves to
+    each (MDP successor, row successor) pair, in that order, with the product
+    of their probabilities (the MDP's own object where the row's is 1), and
+    marks the pairs its row marks.  Rows are read once per (label, automaton
+    state), and each product of two probability objects is built once.  The
+    walk over `graph.numbering`'s order numbers the pairs breadth-first, each
+    pair's successors in the order its distributions list them.
     """
     order, number = numbering((m.initial, initial))
+    rows_at: dict[tuple[int, int], list] = {}
+    joint_pr: dict[tuple[int, int], Fraction] = {}  # per pair of probability ids
     names, trans, labels = [], [], []
     marked = set()
     for p, (s, q) in enumerate(order):
+        key = (m.labels[s], q)
+        choices = rows_at.get(key)
+        if choices is None:
+            choices = rows_at[key] = rows(*key)
         row_names, row_dists = [], []
-        for name, dist, hot in moves(s, q):
-            idx = len(row_names)
-            row_names.append(name)
-            row = [(number(pair), pr) for pair, pr in dist]
-            row.sort()
-            row_dists.append(tuple(row))
-            if hot:
-                marked.update((p, idx, number(pair)) for pair in hot)
+        for ai, nm in enumerate(m.action_names[s]):
+            for c, row in enumerate(choices, start=1):
+                idx = len(row_names)
+                row_names.append(f"{nm}#{c}")
+                dist = []
+                for s2, pr_m in m.dist(s, ai):
+                    for t, pr_a, hot in row:
+                        pr = joint_pr.get((id(pr_m), id(pr_a)))
+                        if pr is None:
+                            pr = pr_m if pr_a == 1 else pr_m * pr_a
+                            joint_pr[id(pr_m), id(pr_a)] = pr
+                        succ = number((s2, t))
+                        dist.append((succ, pr))
+                        if hot:
+                            marked.add((p, idx, succ))
+                dist.sort()
+                row_dists.append(tuple(dist))
         names.append(tuple(row_names))
         trans.append(tuple(row_dists))
         labels.append(m.labels[s])
@@ -256,55 +274,27 @@ def product_nba(m: Mdp, a: Automaton) -> ProductMdp:
         raise MdpError(f"product_nba needs a Buchi automaton, got {a.kind}")
     _check_same_atoms(m, a.alphabet.atoms, "product_nba")
     a = complete(a)
-    arity = a.alphabet.index_arity
-    choices_at: dict[tuple[int, int], list] = {}  # per (label, aut state)
+    letter, arity = a.alphabet.letter, a.alphabet.index_arity
 
-    def moves(s, q):
-        choices = choices_at.get((m.labels[s], q))
-        if choices is None:  # (aut successor, aut edge marked) per choice
-            choices = choices_at[m.labels[s], q] = []
-            for i in range(1, arity + 1):
-                letter = a.alphabet.letter(m.labels[s], i)
-                for t in a.succ(q, letter):
-                    choices.append((t, (q, letter, t) in a.marked))
-        for ai, nm in enumerate(m.action_names[s]):
-            for c, (t, hot) in enumerate(choices, start=1):
-                dist = [((s2, t), pr) for s2, pr in m.dist(s, ai)]
-                yield f"{nm}#{c}", dist, [pair for pair, _ in dist] if hot else ()
+    def rows(label, q):
+        return [[(t, 1, (q, x, t) in a.marked)]
+                for x in (letter(label, i) for i in range(1, arity + 1))
+                for t in a.succ(q, x)]
 
-    return _product(m, a.initial, moves)
+    return _product(m, a.initial, rows)
 
 
 def product_pa(m: Mdp, pa: ProbAutomaton) -> ProductMdp:
     """Product with a probabilistic automaton: the action picks the letter
     rank, the joint move multiplies MDP and automaton probabilities."""
     _check_same_atoms(m, pa.alphabet.atoms, "product_pa")
-    arity = pa.alphabet.index_arity
-    ranks_at: dict[tuple[int, int], list] = {}  # per (label, aut state)
-    multiplied: dict[tuple[int, int], Fraction] = {}  # per pair of probability ids
+    letter, arity = pa.alphabet.letter, pa.alphabet.index_arity
 
-    def moves(s, q):
-        ranks = ranks_at.get((m.labels[s], q))
-        if ranks is None:  # (aut successor, probability, marked) per rank
-            ranks = ranks_at[m.labels[s], q] = []
-            for i in range(1, arity + 1):
-                letter = pa.alphabet.letter(m.labels[s], i)
-                ranks.append([(t, pr, (q, letter, t) in pa.marked)
-                              for t, pr in pa.dist(q, letter)])
-        for ai, nm in enumerate(m.action_names[s]):
-            for i, row in enumerate(ranks, start=1):
-                joint, hot = [], []
-                for s2, pr_m in m.dist(s, ai):
-                    for t, pr_a, mark in row:
-                        pr = multiplied.get((id(pr_m), id(pr_a)))
-                        if pr is None:
-                            pr = multiplied[id(pr_m), id(pr_a)] = pr_m * pr_a
-                        joint.append(((s2, t), pr))
-                        if mark:
-                            hot.append((s2, t))
-                yield f"{nm}#{i}", joint, hot
+    def rows(label, q):
+        return [[(t, pr, (q, x, t) in pa.marked) for t, pr in pa.dist(q, x)]
+                for x in (letter(label, i) for i in range(1, arity + 1))]
 
-    return _product(m, pa.initial, moves)
+    return _product(m, pa.initial, rows)
 
 
 # ------------------------------------------------------------ end components

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -391,7 +392,17 @@ def test_bench_outputs_are_stable(tmp_path, capsys):
     assert sorted(json.loads(times.read_text())) == ["or-pair", "tdr[2]"]
 
 
-def test_bench_timeout_cells(tmp_path, capsys):
+def test_bench_timeout_cells(tmp_path, capsys, monkeypatch):
+    # every route builds for a minute in the worker, so the case is cut off
+    # however fast the machine
+    fork = cli.multiprocessing.get_context("fork")
+    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda: fork)
+
+    def slow(f, atoms):
+        time.sleep(60)
+
+    for key, route in list(ROUTES.items()):
+        monkeypatch.setitem(ROUTES, key, route._replace(build=slow))
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({
         "cases": [{"family": "lib", "params": [8]}],

@@ -271,6 +271,78 @@ def test_duplicate_edge_mark_collapse_depends_on_kind():
     assert c.marked == {(0, 1, 0)}
 
 
+def test_overlapping_labels_resolve_marks_letter_by_letter():
+    # two successors, each read by labels that overlap with different marks
+    text = (
+        "HOA: v1\nStates: 2\nStart: 0\nAP: 2 \"a\" \"b\"\nAcceptance: 1 Inf(0)\n"
+        "--BODY--\nState: 0\n[0] 0 {0}\n[0 | 1] 0\n[1] 1 {0}\n[!0] 1 {0}\n[0 & 1] 1\n"
+        "State: 1\n[t] 1\n--END--\n"
+    )
+    # letter: (successors, marked ones under Buchi, marked ones under co-Buchi)
+    expected = {
+        0b00: ((1,), {1}, {1}),
+        0b01: ((0,), {0}, set()),
+        0b10: ((0, 1), {1}, {1}),
+        0b11: ((0, 1), {0, 1}, set()),
+    }
+    for kind, col in (("buchi", 1), ("cobuchi", 2)):
+        a = from_hoa(text if kind == "buchi" else text.replace("Inf(0)", "Fin(0)"))
+        assert a.kind == kind
+        for letter, want in expected.items():
+            assert a.transitions[0][letter] == want[0]
+            assert {s for s in (0, 1) if (0, letter, s) in a.marked} == want[col]
+        assert a.transitions[1] == ((1,),) * 4
+        assert all(q == 0 for q, _, _ in a.marked)
+
+
+def test_sixteen_aps_read_to_their_cells():
+    aps = " ".join(f'"p{k}"' for k in range(16))
+    a = from_hoa(
+        f"HOA: v1\nStates: 2\nStart: 0\nAP: 16 {aps}\nAcceptance: 1 Fin(0)\n"
+        "--BODY--\nState: 0\n[t] 1\nState: 1\n[0 & !15] 0 {0}\n--END--\n"
+    )
+    assert a.alphabet.size == 1 << 16
+    assert a.transitions[0] == ((1,),) * (1 << 16)
+    reads = [v for v in range(1 << 16) if v & 1 and not v >> 15]
+    assert [v for v, cell in enumerate(a.transitions[1]) if cell] == reads
+    assert {a.transitions[1][v] for v in reads} == {(0,)}
+    assert a.marked == {(1, v, 0) for v in reads}
+
+
+def _cube_set(cubes, n):
+    """The valuations over n APs that some cube of literals holds under,
+    found by trying each valuation."""
+    def holds(lit, v):
+        return bool(v >> int(lit.lstrip("!")) & 1) != lit.startswith("!")
+    return sum(1 << v for v in range(1 << n)
+               if any(all(holds(lit, v) for lit in cube) for cube in cubes))
+
+
+def test_cover_is_exact_and_the_same_for_the_same_set():
+    rng = random.Random(23)
+    for n in range(7):
+        full = (1 << (1 << n)) - 1
+        assert hoa._cover(full, n) == [()]  # printed as t
+        assert hoa._cover(0, n) == []
+        for _ in range(40):
+            density = rng.random()
+            vs = sum(1 << v for v in range(1 << n) if rng.random() < density)
+            cubes = hoa._cover(vs, n)
+            assert _cube_set(cubes, n) == vs, (n, vs)
+            assert hoa._cover(int(str(vs)), n) == cubes
+            for cube in cubes:
+                aps = [int(lit.lstrip("!")) for lit in cube]
+                assert aps == sorted(set(aps)) and all(k < n for k in aps)
+    # in a written file: the full set is t, and equal sets print alike
+    al = Alphabet(atoms_named("a", "b", "c"), 1)
+    edges = [(0, x, 0) for x in al.letters()]
+    edges += [(q, x, 1, True) for q in (0, 1) for x in (1, 3, 6)]
+    lines = to_hoa(build_automaton(al, 2, 0, "buchi", edges)).splitlines()
+    body = lines[lines.index("--BODY--") + 1:]
+    assert body[:3] == ["State: 0", "[t] 0", body[2]]
+    assert body[2].endswith("] 1 {0}") and body[3:] == ["State: 1", body[2], "--END--"]
+
+
 def test_version_and_body_required():
     with pytest.raises(HoaError):
         from_hoa("HOA: v2\nStates: 1\n--BODY--\n--END--\n")
