@@ -167,6 +167,7 @@ def _cmd_solve(args) -> int:
         "value": str(res.value) if exact else None,
         "value_float": float(res.value),
         "error_bound": res.values.gap,
+        "sweeps": res.values.sweeps,
         "product_states": prod.mdp.n_states,
         "goal_states": len(res.goal),
         "mecs": len(res.mecs),

@@ -42,6 +42,7 @@ _VI_CAP = 1_000_000
 _SEED_TOL = 1e-6
 _SEED_CAP = 1_000
 _ARGMAX_TOL = 1e-9
+_ROUND_SLACK = 4e-16  # a few ulps of 1 (see _optimistic_iteration)
 
 
 class MdpError(ValueError):
@@ -194,12 +195,14 @@ class ProductMdp:
 
     `pairs[p]` is the (mdp state, automaton state) behind product state p;
     `marked` holds (state, action index, successor) triples whose automaton
-    edge is marked.
+    edge is marked.  `base` is the MDP it was built from: the actions of p
+    over MDP state s come in one block of equal length per action of s.
     """
 
     mdp: Mdp
     pairs: tuple[tuple[int, int], ...]
     marked: frozenset[tuple[int, int, int]]
+    base: Mdp
 
 
 def _check_same_atoms(m: Mdp, atoms: AtomSet, who: str):
@@ -216,9 +219,9 @@ def _product(m: Mdp, initial: int, rows) -> ProductMdp:
     each (MDP successor, row successor) pair, in that order, with the product
     of their probabilities (the MDP's own object where the row's is 1), and
     marks the pairs its row marks.  Rows are read once per (label, automaton
-    state), and each product of two probability objects is built once.  The
-    walk over `graph.numbering`'s order numbers the pairs breadth-first, each
-    pair's successors in the order its distributions list them.
+    state), and each other product of two probability objects is built once.
+    The walk over `graph.numbering`'s order numbers the pairs breadth-first,
+    each pair's successors in the order its distributions list them.
     """
     order, number = numbering((m.initial, initial))
     rows_at: dict[tuple[int, int], list] = {}
@@ -238,10 +241,9 @@ def _product(m: Mdp, initial: int, rows) -> ProductMdp:
                 dist = []
                 for s2, pr_m in m.dist(s, ai):
                     for t, pr_a, hot in row:
-                        pr = joint_pr.get((id(pr_m), id(pr_a)))
+                        pr = pr_m if pr_a == 1 else joint_pr.get((id(pr_m), id(pr_a)))
                         if pr is None:
-                            pr = pr_m if pr_a == 1 else pr_m * pr_a
-                            joint_pr[id(pr_m), id(pr_a)] = pr
+                            pr = joint_pr[id(pr_m), id(pr_a)] = pr_m * pr_a
                         succ = number((s2, t))
                         dist.append((succ, pr))
                         if hot:
@@ -259,7 +261,7 @@ def _product(m: Mdp, initial: int, rows) -> ProductMdp:
         transitions=tuple(trans),
         labels=tuple(labels),
     )
-    return ProductMdp(mdp=prod, pairs=tuple(order), marked=frozenset(marked))
+    return ProductMdp(mdp=prod, pairs=tuple(order), marked=frozenset(marked), base=m)
 
 
 def product_nba(m: Mdp, a: Automaton) -> ProductMdp:
@@ -291,7 +293,9 @@ def product_pa(m: Mdp, pa: ProbAutomaton) -> ProductMdp:
     letter, arity = pa.alphabet.letter, pa.alphabet.index_arity
 
     def rows(label, q):
-        return [[(t, pr, (q, x, t) in pa.marked) for t, pr in pa.dist(q, x)]
+        # a probability of 1 is given as the int, which `_product` tests cheaply
+        return [[(t, 1 if pr == 1 else pr, (q, x, t) in pa.marked)
+                 for t, pr in pa.dist(q, x)]
                 for x in (letter(label, i) for i in range(1, arity + 1))]
 
     return _product(m, pa.initial, rows)
@@ -311,8 +315,9 @@ class Mec:
     closed: bool
 
 
-def _end_components(states, actions) -> list[tuple[list, dict]]:
-    """Maximal end components of the sub-MDP on `states`.
+def _end_components(avail, actions) -> list[tuple[list, dict]]:
+    """Maximal end components of the sub-MDP whose states are the keys of
+    `avail` and whose actions at q are the indices avail[q].
 
     `actions[q]` lists, for each action of q, the successors it can move
     to; an action stays only while all of them lie in the strongly
@@ -323,9 +328,9 @@ def _end_components(states, actions) -> list[tuple[list, dict]]:
     Returns one (states, {state: staying action indices}) pair per
     component, ordered by least state.
     """
-    avail = {q: range(len(actions[q])) for q in states}
+    avail = dict(avail)
     found = []
-    work = [list(states)]
+    work = [list(avail)]
     while work:
         part = work.pop()
         inside = set(part)
@@ -349,12 +354,11 @@ def _end_components(states, actions) -> list[tuple[list, dict]]:
     return found
 
 
-def mec_decompose(
-    m: Mdp, marked: frozenset[tuple[int, int, int]] = frozenset()
-) -> tuple[Mec, ...]:
+def _mecs(m: Mdp, marked, avail) -> tuple[Mec, ...]:
+    """The MECs of m's sub-MDP `avail` (see `_end_components`), as records."""
     succ = m._graph[0]
     mecs = []
-    for comp, staying in _end_components(m.states(), succ):
+    for comp, staying in _end_components(avail, succ):
         states = frozenset(comp)
         actions = frozenset((q, ai) for q in comp for ai in staying[q])
         accepting = any((q, ai, s) in marked for q, ai in actions for s in succ[q][ai])
@@ -363,12 +367,19 @@ def mec_decompose(
     return tuple(mecs)
 
 
+def mec_decompose(
+    m: Mdp, marked: frozenset[tuple[int, int, int]] = frozenset()
+) -> tuple[Mec, ...]:
+    return _mecs(m, marked, {q: range(m.n_actions(q)) for q in m.states()})
+
+
 # -------------------------------------------------------------- reachability
 
 @dataclass(frozen=True)
 class ValueVector:
     """Values per state, and the policy that attains them.  In float mode
     every value lies within `gap` of the exact one; in exact mode `gap` is 0.
+    `sweeps` counts the float sweeps (in exact mode, those of the seed).
 
     `policy` maps each positive-value state outside the goal to an action:
     on value-1 states the almost-sure attractor (the action keeps the value
@@ -380,6 +391,7 @@ class ValueVector:
     exact: bool
     policy: dict[int, int]
     gap: float = 0.0
+    sweeps: int = 0
 
     def __getitem__(self, q: int):
         return self.values[q]
@@ -392,113 +404,98 @@ def _float_model(m: Mdp, interior: list[int], sure: frozenset[int]):
     """The interior's actions, converted to floats once.
 
     Row i lists the actions of interior[i] as (action index, probability
-    into `sure`, [(interior position, probability)], stays) tuples; `stays`
-    says every successor is interior.  Each probability object becomes a
-    float once, looked up by its id (hashing a Fraction costs more than
-    converting it).  Exact arithmetic is kept only where the float could
-    differ: an action with more than one successor in `sure` sums those
-    probabilities exactly, and a self-loop of probability p is removed by
-    dividing the rest by 1 - p before the conversion.  That keeps the least
-    fixpoint of the maximum, since an action repeated until it leaves q is
-    worth (rest) / (1 - p).  Actions left with no successor, such as a pure
-    self-loop, are dropped: they are worth 0.
+    into `sure`, [(interior position, probability)]) triples.  Each
+    probability object becomes a float once, looked up by its id (hashing a
+    Fraction costs more than converting it).  Exact arithmetic is kept only
+    where the float could differ: an action with more than one successor in
+    `sure` sums those probabilities exactly, and a self-loop of probability
+    p is removed by dividing the rest by 1 - p before the conversion.  That
+    keeps the least fixpoint of the maximum, since an action repeated until
+    it leaves q is worth (rest) / (1 - p).  Actions left with no successor,
+    such as a pure self-loop, are dropped: they are worth 0.
     """
     pos = {q: i for i, q in enumerate(interior)}
     floats: dict[int, float] = {}
-
-    def as_float(p):
-        f = floats.get(id(p))
-        if f is None:
-            f = floats[id(p)] = float(p)
-        return f
-
     rows = []
-    for q in interior:
+    for i, q in enumerate(interior):
         acts = []
         for ai, dist in enumerate(m.transitions[q]):
-            loop = 0
-            into, inner = [], []
-            stays = True
+            loop, const, into, inner = 0, 0.0, [], []
             for s, p in dist:
-                if s == q:
-                    loop = p
-                elif s in pos:
-                    inner.append((pos[s], p))
-                else:
-                    stays = False
+                f = floats.get(id(p))
+                if f is None:
+                    f = floats[id(p)] = float(p)
+                j = pos.get(s)
+                if j is None:
                     if s in sure:
                         into.append(p)
+                        const += f
+                elif j == i:
+                    loop = p
+                else:
+                    inner.append((j, f))
             if not into and not inner:
                 continue
-            if loop:
-                scale = 1 / (1 - loop)
+            if loop or len(into) > 1:
+                scale = 1 / (1 - loop) if loop else 1
                 const = float(sum(into) * scale)
-                inner = [(j, float(p * scale)) for j, p in inner]
-            else:
-                const = as_float(into[0]) if len(into) == 1 else float(sum(into))
-                inner = [(j, as_float(p)) for j, p in inner]
-            acts.append((ai, const, inner, stays))
+                inner = [(pos[s], float(p * scale))
+                         for s, p in dist if s != q and s in pos]
+            acts.append((ai, const, inner))
         rows.append(acts)
     return rows
 
 
-def _interval_iteration(rows, tol: float, cap: int):
-    """Gauss-Seidel lower and upper bounds on maximal reachability over
-    the float model (Haddad & Monmege, TCS 2018).
+def _sweep(rows, x) -> float:
+    """One Gauss-Seidel sweep of the maximum over the float model: each
+    x[i] becomes its best action's value, read from x as already updated.
+    Returns the largest rise of an entry (a fall counts as none)."""
+    rise = 0.0
+    for i, acts in enumerate(rows):
+        best = 0.0
+        for _, c, inner in acts:
+            v = c
+            for j, p in inner:
+                v += p * x[j]
+            if v > best:
+                best = v
+        if best - x[i] > rise:
+            rise = best - x[i]
+        x[i] = best
+    return rise
 
-    The lower bound starts at 0 and the upper bound at 1.  End components
-    among the interior states would hold the upper bound above the value,
-    so after each sweep it is deflated: no state of a maximal end component
-    is worth more than the best action leaving it.  Stops once every upper
-    bound is within `tol` of its lower bound, or after `cap` sweeps.
-    Returns the midpoints of the bounds, the largest distance between
-    them (which bounds the midpoints' error, up to float rounding) and the
-    number of sweeps.
+
+def _optimistic_iteration(rows, tol: float, cap: int):
+    """Maximal reachability over the float model by optimistic value
+    iteration (Hartmanns & Kaminski, CAV 2020).
+
+    The lower bound sweeps from 0 until no sweep raises it by more than a
+    target, first `tol`.  One sweep B then checks the guess u = min(1, lower
+    + tol/2): if B(u) <= u, Park induction puts the value below u, so below
+    B(u) too (B is monotone; Gauss-Seidel sweeps share the fixpoints of
+    plain ones).  Otherwise the target shrinks tenfold and the lower bound
+    sweeps on.  The upper bound is checked, never iterated, so no end
+    component among the interior states holds it up; on one, B(u) = u
+    exactly, so the check allows a rise of _ROUND_SLACK, B(u)'s rounding:
+    the bounds are sound up to float rounding.  Returns the midpoints, the
+    largest distance between the bounds (which bounds the midpoints' error)
+    and the sweeps; if `cap` sweeps do not suffice, the lower bound and its
+    largest distance from 1.
     """
-    n = len(rows)
-    closed = {
-        i: [[j for j, _ in succ] if stays else [-1] for _, _, succ, stays in acts]
-        for i, acts in enumerate(rows)
-        if any(stays for *_, stays in acts)
-    }
-    exits = []
-    for comp, staying in _end_components(list(closed), closed):
-        leave = [
-            (c, succ)
-            for i in comp
-            for k, (_, c, succ, _) in enumerate(rows[i])
-            if k not in staying[i]
-        ]
-        exits.append((comp, leave))
-    lo = [0.0] * n
-    hi = [1.0] * n
-    gap = 1.0 if n else 0.0
-    sweeps = 0
-    while gap > tol and sweeps < cap:
+    if not rows:
+        return [], 0.0, 0
+    lo, target, sweeps = [0.0] * len(rows), tol, 0
+    while sweeps < cap:
         sweeps += 1
-        for i, acts in enumerate(rows):
-            best_lo = best_hi = 0.0
-            for _, c, succ, _ in acts:
-                v_lo = v_hi = c
-                for j, p in succ:
-                    v_lo += p * lo[j]
-                    v_hi += p * hi[j]
-                if v_lo > best_lo:
-                    best_lo = v_lo
-                if v_hi > best_hi:
-                    best_hi = v_hi
-            lo[i] = best_lo
-            hi[i] = best_hi
-        for comp, leave in exits:
-            bound = max(
-                (c + sum(p * hi[j] for j, p in succ) for c, succ in leave),
-                default=0.0,
-            )
-            for i in comp:
-                if hi[i] > bound:
-                    hi[i] = bound
-        gap = max(h - l for h, l in zip(hi, lo))
-    return [(l + h) / 2 for l, h in zip(lo, hi)], gap, sweeps
+        if _sweep(rows, lo) > target or sweeps == cap:
+            continue
+        hi = [min(1.0, v + tol / 2) for v in lo]
+        sweeps += 1
+        if _sweep(rows, hi) <= _ROUND_SLACK:
+            gap = max(h - v for h, v in zip(hi, lo))
+            return [(v + h) / 2 for v, h in zip(lo, hi)], gap, sweeps
+        target /= 10
+    return lo, max(1.0 - v for v in lo), sweeps
 
 
 def _attract(pred, targets, allowed) -> dict[int, int]:
@@ -562,11 +559,9 @@ def _seed_policy(m, interior, sure, rows, mid) -> dict[int, int]:
     `sure`; a state the search misses takes its best action."""
     candidates = {}
     for q, acts in zip(interior, rows):
-        scores = [
-            (c + sum(p * mid[j] for j, p in succ), ai) for ai, c, succ, _ in acts
-        ]
+        scores = [(c + sum(p * mid[j] for j, p in inner), ai) for ai, c, inner in acts]
         best = max(scores)[0]
-        candidates[q] = sorted(ai for v, ai in scores if v >= best - _ARGMAX_TOL)
+        candidates[q] = [ai for v, ai in scores if v >= best - _ARGMAX_TOL]
     choice = _attract(m._graph[1], sure, candidates)
     return {q: choice.get(q, candidates[q][0]) for q in interior}
 
@@ -575,14 +570,15 @@ def max_reach(m: Mdp, goal: frozenset[int], exact: bool = True) -> ValueVector:
     """Optimal probability of reaching `goal` (absorbing) from every state,
     with the policy that attains it (see `ValueVector`).
 
-    After the qualitative 0/1 analysis both modes run interval iteration
-    on the remaining states and read a policy off the midpoints of the
-    bounds.  Float mode returns the midpoints once the bounds are within
-    _VI_TOL of each other, and raises MdpError if that takes more than
-    _VI_CAP sweeps.  Exact mode stops the bounds early and starts a policy
-    iteration over fractions from that policy: each policy is evaluated
-    exactly by `exact.chain_reach`, and an exact improvement sweep that
-    switches nothing proves it optimal.
+    After the qualitative 0/1 analysis both modes run optimistic value
+    iteration (`_optimistic_iteration`) on the remaining states and read a
+    policy off the midpoints of its bounds.  Float mode returns the
+    midpoints once an upper bound within _VI_TOL of the lower one is
+    checked, and raises MdpError if that takes more than _VI_CAP sweeps.
+    Exact mode stops at the looser _SEED_TOL, or after _SEED_CAP sweeps,
+    and starts a policy iteration over fractions from that policy: each
+    policy is evaluated exactly by `exact.chain_reach`, and an exact
+    improvement sweep that switches nothing proves it optimal.
     """
     goal = frozenset(goal)
     for q in goal:
@@ -590,10 +586,12 @@ def max_reach(m: Mdp, goal: frozenset[int], exact: bool = True) -> ValueVector:
             raise MdpError(f"goal state {q} out of range")
     reachers, policy = _prob1(m, goal)
     sure = goal.union(policy)
-    interior = [q for q in m.states() if q in reachers and q not in sure]
+    # in descending order: a product numbers its states breadth-first, so
+    # Gauss-Seidel sweeps then mostly read successors already updated
+    interior = [q for q in reversed(m.states()) if q in reachers and q not in sure]
     rows = _float_model(m, interior, sure)
     tol, cap = (_SEED_TOL, _SEED_CAP) if exact else (_VI_TOL, _VI_CAP)
-    mid, gap, sweeps = _interval_iteration(rows, tol, cap)
+    mid, gap, sweeps = _optimistic_iteration(rows, tol, cap)
     if not exact and gap > _VI_TOL:
         raise MdpError(
             f"float value iteration did not converge: gap {gap:.3g} "
@@ -602,9 +600,7 @@ def max_reach(m: Mdp, goal: frozenset[int], exact: bool = True) -> ValueVector:
     policy.update(_seed_policy(m, interior, sure, rows, mid))
     if exact and interior:
         for _ in range(100_000):
-            current = chain_reach(
-                lambda q: m.dist(q, policy[q]), interior, sure
-            )
+            current = chain_reach(lambda q: m.dist(q, policy[q]), interior, sure)
             # An action beats q's value only if its float-model value does
             # (removing a self-loop keeps that comparison, and dropped
             # actions cannot), and rounding errs by far less than
@@ -613,20 +609,15 @@ def max_reach(m: Mdp, goal: frozenset[int], exact: bool = True) -> ValueVector:
             approx = [float(current[q]) for q in interior]
             switched = False
             for q, acts, here in zip(interior, rows, approx):
-                best_val = current[q]
-                best_ai = policy[q]
-                for ai, c, succ, _ in acts:
+                best_val, best_ai = current[q], policy[q]
+                for ai, c, inner in acts:
                     if ai == policy[q]:
                         continue
-                    if c + sum(p * approx[j] for j, p in succ) < here - _ARGMAX_TOL:
+                    if c + sum(p * approx[j] for j, p in inner) < here - _ARGMAX_TOL:
                         continue
-                    val = Fraction(0)
-                    for s, p in m.dist(q, ai):
-                        if s in current:
-                            val += p * current[s]
+                    val = sum(p * current[s] for s, p in m.dist(q, ai) if s in current)
                     if val > best_val:
-                        best_val = val
-                        best_ai = ai
+                        best_val, best_ai = val, ai
                 if best_ai != policy[q]:
                     policy[q] = best_ai
                     switched = True
@@ -639,7 +630,7 @@ def max_reach(m: Mdp, goal: frozenset[int], exact: bool = True) -> ValueVector:
     values = [one if q in sure else zero for q in m.states()]
     for q, v in zip(interior, mid):
         values[q] = v
-    return ValueVector(tuple(values), exact, policy, gap=0.0 if exact else gap)
+    return ValueVector(tuple(values), exact, policy, 0.0 if exact else gap, sweeps)
 
 
 # ----------------------------------------------------------------- strategy
@@ -692,12 +683,25 @@ class SynthesisResult:
 
 def synthesize(prod: ProductMdp, exact: bool = True) -> SynthesisResult:
     """Optimal probability of taking marked product edges infinitely often:
-    reach an accepting maximal end component, then sweep it uniformly."""
-    m = prod.mdp
-    mecs = mec_decompose(m, prod.marked)
-    goal = frozenset(
-        q for mec in mecs if mec.accepting for q in mec.states
-    )
+    reach an accepting maximal end component, then sweep it uniformly.
+
+    The MECs are `mec_decompose(prod.mdp, prod.marked)`, searched only over
+    the pairs whose MDP state lies in a MEC of `prod.base`, by the actions
+    whose MDP action stays in it: an end component of the product projects
+    onto one of the MDP (its MDP states and actions are closed and strongly
+    connected)."""
+    m, base = prod.mdp, prod.base
+    kept: dict[int, list[int]] = {}
+    for mec in mec_decompose(base):
+        for s, ai in mec.actions:
+            kept.setdefault(s, []).append(ai)
+    avail = {}
+    for p, (s, _) in enumerate(prod.pairs):
+        if s in kept:
+            w = m.n_actions(p) // base.n_actions(s)
+            avail[p] = [k for ai in kept[s] for k in range(ai * w, ai * w + w)]
+    mecs = _mecs(m, prod.marked, avail)
+    goal = frozenset(q for mec in mecs if mec.accepting for q in mec.states)
     vv = max_reach(m, goal, exact=exact)
     picks = extract_reach_strategy(m, goal, vv)
     one = Fraction(1)
@@ -710,15 +714,10 @@ def synthesize(prod: ProductMdp, exact: bool = True) -> SynthesisResult:
             per_state.setdefault(q, []).append(ai)
         for q, ais in per_state.items():
             share = Fraction(1, len(ais))
-            dists[q] = tuple((ai, share) for ai in sorted(ais))
+            dists[q] = tuple((ai, share) for ai in ais)
     strategy = Strategy(dists=tuple(dists))
-    return SynthesisResult(
-        value=vv[m.initial],
-        values=vv,
-        strategy=strategy,
-        goal=goal,
-        mecs=mecs,
-    )
+    return SynthesisResult(value=vv[m.initial], values=vv, strategy=strategy,
+                           goal=goal, mecs=mecs)
 
 
 def induce_mc(prod: ProductMdp, strategy: Strategy) -> Fraction:

@@ -186,6 +186,7 @@ def test_solve_nba_override(fixture_file, tmp_path, capsys):
     assert doc["exact"] is True and doc["product_states"] == 7
     assert doc["exact_reason"] == f"limit {EXACT_DEFAULT_LIMIT}"
     assert doc["error_bound"] == 0
+    assert isinstance(doc["sweeps"], int)
     sdoc = json.loads(strat.read_text())
     assert sdoc["type"] == "memoryless"
     assert len(sdoc["states"]) == 7
@@ -203,6 +204,8 @@ def test_solve_env_forces_float(fixture_file, tmp_path, capsys, monkeypatch):
     assert doc["exact_reason"] == "env"
     assert 0 <= doc["error_bound"] <= 1e-10
     assert abs(doc["value_float"] - 0.5) <= 1e-9
+    # two sweeps of the lower bound (the second changes nothing), one check
+    assert doc["sweeps"] == 3
 
 
 def test_solve_empty_env_means_unset(fixture_file, tmp_path, capsys, monkeypatch):

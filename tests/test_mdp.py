@@ -2,11 +2,13 @@ import dataclasses
 import json
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from gfmredux import mdp
+from gfmredux import ROUTES, mdp
 from gfmredux.automata import Alphabet, _unchecked, complete
 from gfmredux.gf_direct import gf_to_dba, gf_to_gfm
 from gfmredux.hoa import from_hoa
@@ -30,7 +32,7 @@ from gfmredux.mdp import (
 )
 from gfmredux.patterns import gen_pattern
 from gfmredux.redux import nca_to_pa, redux
-from oracles import brute_max_reach, brute_mecs
+from oracles import brute_max_reach, brute_mecs, random_cosafety_text
 
 
 @pytest.fixture
@@ -399,7 +401,8 @@ def test_float_upper_bound_deflated_on_interior_end_component(monkeypatch):
     want = brute_max_reach(m, goal)
     assert max_reach(m, goal).values == tuple(want)
     assert want[2] == want[3] == half
-    # without deflation the upper bound of states 2 and 3 stays at 1
+    # no deflation: the upper bound is guessed just above the lower one and
+    # checked by one sweep, so the end component of 2 and 3 cannot hold it at 1
     monkeypatch.setattr(mdp, "_VI_CAP", 100)
     approx = max_reach(m, goal, exact=False)
     assert all(abs(float(w) - v) <= 1e-9 for w, v in zip(want, approx.values))
@@ -415,10 +418,12 @@ def _with_sinks(m, goal, trap):
         (((q, Fraction(1)),),) if q in (goal, trap) else m.transitions[q]
         for q in m.states()
     )
+    sinks = dataclasses.replace(m, action_names=names, transitions=trans)
     return ProductMdp(
-        mdp=dataclasses.replace(m, action_names=names, transitions=trans),
+        mdp=sinks,
         pairs=tuple((q, 0) for q in m.states()),
         marked=frozenset({(goal, 0, goal)}),
+        base=sinks,
     )
 
 
@@ -451,6 +456,79 @@ def test_induce_mc_and_max_reach_against_enumeration():
             start = dataclasses.replace(prod, mdp=dataclasses.replace(m, initial=q))
             assert induce_mc(start, exact_strategy) == want[q], (seed, q)
             assert abs(induce_mc(start, float_strategy) - want[q]) <= 1e-9, (seed, q)
+
+
+def test_float_values_lie_within_their_gap():
+    for seed, g, prod in _sink_models():
+        m, goal = prod.mdp, frozenset({g})
+        want = max_reach(m, goal).values
+        approx = max_reach(m, goal, exact=False)
+        assert approx.gap <= mdp._VI_TOL, seed
+        assert all(
+            abs(float(w) - v) <= approx.gap + 1e-15 for w, v in zip(want, approx.values)
+        ), seed
+
+
+def test_float_refuted_upper_bound_guess(monkeypatch):
+    # two states that swap with probability 1 - 1/1000 and leak the rest: the
+    # lower bound creeps up, so once a sweep raises it by at most 1e-10 it is
+    # still far below 1/2 and the first guessed upper bound fails its check
+    swap, leak = 1 - Fraction(1, 1000), Fraction(1, 2000)
+    m = _mdp(
+        (*SINKS,
+         (((WIN, leak), (TRAP, leak), (3, swap)),),
+         (((WIN, leak), (TRAP, leak), (2, swap)),)),
+        (0, 0, 0, 0), initial=2,
+    )
+    swept = []  # each bound vector the sweeps work on: the lower, then guesses
+    sweep = mdp._sweep
+
+    def spy(rows, x):
+        if not any(x is y for y in swept):
+            swept.append(x)
+        return sweep(rows, x)
+
+    monkeypatch.setattr(mdp, "_sweep", spy)
+    vv = max_reach(m, frozenset({WIN}), exact=False)
+    assert len(swept) >= 3
+    assert vv.gap <= mdp._VI_TOL
+    assert abs(vv[2] - 0.5) <= vv.gap + 1e-15
+    assert abs(vv[3] - 0.5) <= vv.gap + 1e-15
+    assert vv.sweeps > 1000
+
+
+def _solve_list_products():
+    """The products of perfbench's `solve` list, built through its routes."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        import reference
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    for name, doc, goal, route, _ in workloads.solve_inputs():
+        m = mdp_from_json(doc)
+        f = parse(reference.to_text(goal), m.alphabet.atoms)
+        build, product = ROUTES[route].build, ROUTES[route].product
+        yield name, product(m, build(f, m.alphabet.atoms))
+
+
+def _random_products():
+    """Products of seeded random MDPs with random GF(co-safety) goals,
+    through every route."""
+    for seed in range(30):
+        rng = random.Random(seed)
+        m = gen_random_mdp(rng, max_states=6, max_actions=3)
+        body = random_cosafety_text(rng, max_depth=3, atoms=("a", "b"))
+        f = parse(f"GF({body})", m.alphabet.atoms)
+        for key, route in ROUTES.items():
+            yield (seed, key), route.product(m, route.build(f, m.alphabet.atoms))
+
+
+def test_synthesize_finds_the_product_mecs_over_the_mdp_mecs():
+    for key, prod in (*_random_products(), *_solve_list_products()):
+        got = synthesize(prod, exact=False).mecs
+        assert got == mec_decompose(prod.mdp, prod.marked), key
 
 
 def test_exact_policy_iteration_from_a_blind_start(monkeypatch):
